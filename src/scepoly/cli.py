@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -450,6 +451,9 @@ def cmd_integrate(args) -> int:
         return 0
     if args.a is None or args.b is None:
         raise UsageError("provide both --a and --b, or neither")
+    for name, bound in (("--a", args.a), ("--b", args.b)):
+        if not math.isfinite(bound):
+            raise UsageError(f"{name} must be finite, got {bound}")
     value = integrals.definite_integral(cf, args.a, args.b)
     if not args.check:
         print(f"{value:.17g}")
@@ -573,10 +577,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_signed_values(argv: list[str]) -> list[str]:
+    """Rewrite "--m VALUE" as "--m=VALUE", and the same for --a and --b.
+
+    argparse reads a value that starts with "-" but does not look like a
+    plain number to it, such as "-5/3" or "-1e3", as an option.
+    """
+    out, args = [], iter(argv)
+    for arg in args:
+        value = next(args, None) if arg in ("--m", "--a", "--b") else None
+        out.append(arg if value is None else f"{arg}={value}")
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_signed_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
@@ -584,7 +601,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

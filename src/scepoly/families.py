@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import factorial
 
 from .poly import ExpPoly, LaurentPoly, Poly
-from .rational import I, ONE, as_gaussian, as_rational, binomial_general
+from .rational import I, ONE, as_gaussian, as_rational
 from .report import CheckReport
 
 __all__ = [
@@ -103,16 +103,16 @@ def laguerre_general(n: int, alpha) -> Poly:
 
     Built from the explicit sum
     L_n^(alpha)(x) = sum_{k=0}^{n} (-1)^k C(n+alpha, n-k) x^k / k!,
-    which is what makes negative and fractional upper indices exact.
+    which is what makes negative and fractional upper indices exact.  The
+    binomials C(a, j), a = n+alpha, come from C(a, j+1) = C(a, j)(a-j)/(j+1).
     """
     if n < 0:
         return Poly.zero()
-    alpha = as_rational(alpha)
-    coeffs = [
-        (-1) ** k * binomial_general(n + alpha, n - k) / factorial(k)
-        for k in range(n + 1)
-    ]
-    return Poly(coeffs)
+    a, binom, coeffs = n + as_rational(alpha), Fraction(1), []
+    for j in range(n + 1):  # the coefficient of x^(n-j)
+        coeffs.append((-1) ** (n - j) * binom / factorial(n - j))
+        binom = binom * (a - j) / (j + 1)
+    return Poly(reversed(coeffs))
 
 
 def e_laguerre(n: int) -> Poly:

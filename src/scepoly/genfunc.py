@@ -314,7 +314,8 @@ def degenerate_genfunc(spec: LinearHGSpec, order: int) -> FormalSeries:
     )
     # exp(g(x) * t) with g = (gamma/alpha)(alpha*x + beta) = gamma*x + gamma*beta/alpha
     g = Poly([spec.gamma * spec.beta / spec.alpha, spec.gamma])
-    expo = FormalSeries(
-        g**k * Fraction(1, factorial(k)) for k in range(order + 1)
-    )
+    powers = [Poly.one()]
+    for _ in range(order):
+        powers.append(powers[-1] * g)
+    expo = FormalSeries(g_k * Fraction(1, factorial(k)) for k, g_k in enumerate(powers))
     return binom * expo

@@ -87,12 +87,14 @@ def closed_form(kind: str, n: int, m=None) -> ClosedForm:
 # Exact verification via exponential-polynomial lifting
 # ---------------------------------------------------------------------------
 
+_HALF_I = I / 2
+
+
 def _lift_trig(cos_part: Poly, sin_part: Poly) -> ExpPoly:
     # cos x = (e^(ix) + e^(-ix))/2,  sin x = (e^(ix) - e^(-ix))/(2i)
-    half = Fraction(1, 2)
-    plus = cos_part * half + sin_part * (-I * half)
-    minus = cos_part * half + sin_part * (I * half)
-    return ExpPoly([(I, plus), (-I, minus)])
+    half_cos = LaurentPoly.from_poly(cos_part) * Fraction(1, 2)
+    half_i_sin = LaurentPoly.from_poly(sin_part) * _HALF_I
+    return ExpPoly([(I, half_cos - half_i_sin), (-I, half_cos + half_i_sin)])
 
 
 def lift_closed_form(cf: ClosedForm) -> ExpPoly:

@@ -4,28 +4,31 @@ Three representations, chosen to match how each is accessed:
 
 * ``Poly`` -- dense coefficient tuple over Gaussian rationals, ascending
   degree, no trailing zeros (the zero polynomial is the empty tuple).
-* ``LaurentPoly`` -- sparse map from integer exponent (possibly negative)
-  to coefficient.  Iterated derivatives of x^(-1)*e^(rx) push exponents
-  down to -n-1, so a dense list would be the wrong shape.
+* ``LaurentPoly`` -- integer numerator tuples (real and imaginary) over one
+  common denominator, starting at an integer exponent offset that may be
+  negative: iterated derivatives of x^(-1)*e^(rx) push exponents down to
+  -n-1, and each derivative is one pass over the integers.
 * ``ExpPoly`` -- a finite sum of terms p_k(x)*e^(mu_k x) with Laurent
   polynomial parts and pairwise distinct Gaussian-rational rates mu_k.
   The class is closed under differentiation, which is the whole point:
   it can differentiate weight-function products and trigonometric closed
   forms exactly, with sin/cos lifted to complex exponentials.
 
-No polynomial division or gcd lives here; nothing downstream needs it.
+No polynomial division lives here; nothing downstream needs it.
 All values are immutable and operations are pure.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping, Union
 
 from .rational import GaussianRational, ONE, ZERO, as_gaussian
 
 __all__ = ["Poly", "LaurentPoly", "ExpPoly"]
 
-Scalar = Union[int, "Fraction", GaussianRational]
+Scalar = Union[int, Fraction, GaussianRational]
 
 
 class Poly:
@@ -204,80 +207,159 @@ def _scalar_repr(c: GaussianRational) -> str:
     return f"({c.re}{'+' if c.im >= 0 else ''}{c.im}i)"
 
 
+def _normalise(lo: int, re, im, den: int) -> tuple:
+    """Canonical integer form (lo, re, im, den) of x^lo * sum (re[k] + i*im[k]) x^k / den.
+
+    Strips terms that vanish from both ends, empties ``im`` when every
+    imaginary numerator is zero, and divides the numerators and the positive
+    denominator by their gcd, so equal values get equal tuples.  The zero
+    polynomial is (0, (), (), 1).
+    """
+    if im and not any(im):
+        im = ()
+    nonzero = (lambda k: re[k] or im[k]) if im else re.__getitem__
+    start, hi = 0, len(re)
+    while hi and not nonzero(hi - 1):
+        hi -= 1
+    while start < hi and not nonzero(start):
+        start += 1
+    if start == hi:
+        return 0, (), (), 1
+    re, im = re[start:hi], im[start:hi]
+    g = gcd(den, *re, *im)
+    if g != 1:
+        re, im, den = [c // g for c in re], [c // g for c in im], den // g
+    return lo + start, tuple(re), tuple(im), den
+
+
+def _int_parts(value) -> tuple[int, int, int]:
+    """(a, b, q) with value = (a + b*i)/q and q > 0."""
+    c = as_gaussian(value)
+    q = lcm(c.re.denominator, c.im.denominator)
+    return c.re.numerator * (q // c.re.denominator), c.im.numerator * (q // c.im.denominator), q
+
+
+def _laurent(lo: int, re, im, den: int) -> "LaurentPoly":
+    p = object.__new__(LaurentPoly)
+    for name, value in zip(LaurentPoly.__slots__, _normalise(lo, re, im, den)):
+        object.__setattr__(p, name, value)
+    return p
+
+
 class LaurentPoly:
-    """Sparse Laurent polynomial: finite map exponent -> coefficient, exponents in Z."""
+    """Laurent polynomial over Q(i): x^lo * sum_k (re[k] + i*im[k]) x^k / den.
 
-    __slots__ = ("terms",)
+    Integer numerators over one positive common denominator, the layout of
+    FLINT's ``fmpq_poly`` (https://flintlib.org/doc/fmpq_poly.html) plus an
+    exponent offset, so one derivative is one O(deg) integer pass with no
+    Fraction or GaussianRational arithmetic in it.  ``im`` is empty for a
+    real polynomial.  The form is canonical (see ``_normalise``), so equality
+    is tuple equality.  ``terms`` converts out to a sparse exponent map.
+    """
 
-    def __init__(self, terms: Mapping[int, Scalar] | Iterable = ()):
+    __slots__ = ("lo", "re", "im", "den")
+
+    def __new__(cls, terms: Mapping[int, Scalar] | Iterable = ()):
+        """The sum of the monomials c*x^e over the (e, c) pairs of ``terms``."""
         items = terms.items() if isinstance(terms, Mapping) else terms
-        out: dict[int, GaussianRational] = {}
+        out = _laurent(0, (), (), 1)
         for e, c in items:
-            c = as_gaussian(c)
-            if not c:
-                continue
-            acc = out.get(e, ZERO) + c
-            if acc:
-                out[e] = acc
-            else:
-                out.pop(e, None)
-        object.__setattr__(self, "terms", dict(sorted(out.items())))
+            a, b, q = _int_parts(c)
+            out = out + _laurent(e, [a], [b], q)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
 
     @classmethod
     def from_poly(cls, p: Poly) -> "LaurentPoly":
-        return cls(enumerate(p.coeffs))
+        cs = p.coeffs
+        den = lcm(*(c.re.denominator for c in cs), *(c.im.denominator for c in cs))
+        re = [c.re.numerator * (den // c.re.denominator) for c in cs]
+        im = [c.im.numerator * (den // c.im.denominator) for c in cs]
+        return _laurent(0, re, im, den)
+
+    def _coeffs(self) -> list[GaussianRational]:
+        """Dense coefficients of x^lo, x^(lo+1), ..."""
+        im = self.im or (0,) * len(self.re)
+        return [GaussianRational(Fraction(r, self.den), Fraction(i, self.den)) for r, i in zip(self.re, im)]
+
+    @property
+    def terms(self) -> dict[int, GaussianRational]:
+        """The nonzero terms as an ascending map exponent -> coefficient."""
+        return {self.lo + k: c for k, c in enumerate(self._coeffs()) if c}
 
     def is_zero(self) -> bool:
-        return not self.terms
-
-    def min_exponent(self) -> int:
-        return min(self.terms) if self.terms else 0
+        return not self.re
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        merged = list(self.terms.items()) + list(other.terms.items())
-        return LaurentPoly(merged)
+        lo = min(self.lo, other.lo)
+        size = max(self.lo + len(self.re), other.lo + len(other.re)) - lo
+        den = lcm(self.den, other.den)
+        re = [0] * size
+        im = [0] * size if self.im or other.im else ()
+        for p in (self, other):
+            f, at = den // p.den, p.lo - lo
+            for k, c in enumerate(p.re, at):
+                re[k] += c * f
+            for k, c in enumerate(p.im, at):
+                im[k] += c * f
+        return _laurent(lo, re, im, den)
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly({e: -c for e, c in self.terms.items()})
+        return _laurent(self.lo, [-c for c in self.re], [-c for c in self.im], self.den)
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return self + (-other)
 
     def __mul__(self, scalar) -> "LaurentPoly":
-        c = as_gaussian(scalar)
-        return LaurentPoly({e: a * c for e, a in self.terms.items()})
+        a, b, q = _int_parts(scalar)
+        im = self.im or (0,) * len(self.re)
+        re_out = [a * r - b * i for r, i in zip(self.re, im)]
+        im_out = [b * r + a * i for r, i in zip(self.re, im)] if b or self.im else ()
+        return _laurent(self.lo, re_out, im_out, self.den * q)
 
     __rmul__ = __mul__
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by x^k (k may be negative)."""
-        return LaurentPoly({e + k: c for e, c in self.terms.items()})
+        return _laurent(self.lo + k, self.re, self.im, self.den)
 
-    def derivative(self) -> "LaurentPoly":
-        return LaurentPoly({e - 1: c * e for e, c in self.terms.items() if e != 0})
+    def derivative(self, rate=0) -> "LaurentPoly":
+        """p' + rate*p, i.e. e^(-rate x) d/dx [p(x) e^(rate x)]; plain p' by default.
+
+        One integer pass: for rate (a + b*i)/q the numerator of x^(lo-1+k)
+        is q*(lo+k)*c_k + (a + b*i)*c_(k-1), over den*q.
+        """
+        a, b, q = _int_parts(rate)
+        lo, re, im = self.lo, self.re, self.im
+        d_re = [q * (lo + k) * c for k, c in enumerate(re)] + [0]
+        d_im = [q * (lo + k) * c for k, c in enumerate(im or (0,) * len(re))] + [0] if im or b else ()
+        for k, r in enumerate(re, 1):
+            d_re[k] += a * r
+            if b:
+                d_im[k] += b * r
+        for k, i in enumerate(im, 1):
+            d_re[k] -= b * i
+            d_im[k] += a * i
+        return _laurent(lo - 1, d_re, d_im, self.den * q)
 
     def to_poly(self) -> Poly:
         """Convert to a Poly; negative exponents indicate an upstream bug."""
-        if self.terms and min(self.terms) < 0:
+        if self.lo < 0:
             raise ValueError(f"negative exponents remain: {self!r}")
-        coeffs = [ZERO] * ((max(self.terms) + 1) if self.terms else 0)
-        for e, c in self.terms.items():
-            coeffs[e] = c
-        return Poly(coeffs)
+        return Poly([0] * self.lo + self._coeffs())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        return self.terms == other.terms
+        return (self.lo, self.re, self.im, self.den) == (other.lo, other.re, other.im, other.den)
 
     def __hash__(self):
-        return hash(tuple(self.terms.items()))
+        return hash((self.lo, self.re, self.im, self.den))
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self.re:
             return "LaurentPoly(0)"
         body = " + ".join(f"{_scalar_repr(c)}*x^{e}" for e, c in self.terms.items())
         return f"LaurentPoly({body})"
@@ -343,16 +425,9 @@ class ExpPoly:
 
     __rmul__ = __mul__
 
-    def mul_monomial(self, k: int) -> "ExpPoly":
-        """Multiply every term by x^k."""
-        return ExpPoly({r: p.shift(k) for r, p in self.terms.items()})
-
     def derivative(self) -> "ExpPoly":
-        """Exact derivative: d/dx [p*e^(mu x)] = (p' + mu*p) e^(mu x)."""
-        out = []
-        for rate, part in self.terms.items():
-            out.append((rate, part.derivative() + part * rate))
-        return ExpPoly(out)
+        """Exact derivative: d/dx [p*e^(mu x)] = (p' + mu*p) e^(mu x), one pass per term."""
+        return ExpPoly([(rate, part.derivative(rate)) for rate, part in self.terms.items()])
 
     def nth_derivative(self, n: int) -> "ExpPoly":
         if n < 0:

@@ -188,6 +188,48 @@ class TestExitCodes:
         assert code == 0
 
 
+class TestSignedValues:
+    """A value after --m, --a or --b may start with "-" in either spelling."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["poly", "em", "--n", "3", "--format", "json"],
+            ["integrate", "--kind", "exp", "--n", "3"],
+            ["genfunc", "--family", "em", "--order", "4"],
+        ],
+    )
+    def test_negative_fraction_rate(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--m", "-5/3")
+        assert (code, err) == (0, "")
+        assert run_cli(capsys, *argv, "--m=-5/3") == (code, out, err)
+
+    def test_exponent_bound(self, capsys):
+        argv = ["integrate", "--kind", "sin", "--n", "1", "--b", "1"]
+        code, out, _ = run_cli(capsys, *argv, "--a", "-1e1")
+        assert code == 0
+        assert run_cli(capsys, *argv, "--a=-10")[1] == out
+
+
+class TestBadBounds:
+    @pytest.mark.parametrize(
+        "bounds",
+        [["--a", "0", "--b", "inf"], ["--a", "nan", "--b", "1"], ["--a", "-inf", "--b", "0"]],
+    )
+    def test_non_finite_bound_is_usage_error(self, capsys, bounds):
+        code, out, err = run_cli(capsys, "integrate", "--kind", "sin", "--n", "1", *bounds)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --") and "must be finite" in err
+
+    @pytest.mark.parametrize("check", [[], ["--check"]])
+    def test_overflowing_integral_is_reported(self, capsys, check):
+        code, out, err = run_cli(
+            capsys, "integrate", "--kind", "exp", "--n", "5", "--a", "0", "--b", "1000", *check
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: definite integral overflows double precision\n"
+
+
 class TestIntegrateCommand:
     def test_definite_value(self, capsys):
         code, out, _ = run_cli(

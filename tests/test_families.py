@@ -53,7 +53,8 @@ class TestEFamily:
         assert e_rodrigues(2) == X**2 - 2 * X + 2
 
     def test_route_equivalence(self):
-        for n in range(31):
+        # up to the CLI's default SCE_MAX_N cap of 64
+        for n in range(65):
             e = e_explicit(n)
             assert e_recurrence(n) == e
             assert e_rodrigues(n) == e
@@ -137,7 +138,7 @@ class TestEmFamily:
 
     def test_rodrigues_route(self):
         for m in RATES:
-            for n in range(31):
+            for n in range(65):
                 assert em_rodrigues(n, m) == em_explicit(n, m)
 
     def test_rodrigues_n1(self):

@@ -91,7 +91,7 @@ class TestSRodrigues:
         assert s_rodrigues(1) == -X
 
     def test_matches_explicit(self):
-        for n in range(31):
+        for n in range(65):
             assert s_rodrigues(n) == s_explicit(n)
 
     def test_negative_index(self):

@@ -159,3 +159,72 @@ class TestExpPoly:
     @given(f=exp_polys, a=st.integers(0, 3), b=st.integers(0, 3))
     def test_nth_derivative_composes(self, f, a, b):
         assert f.nth_derivative(a + b) == f.nth_derivative(a).nth_derivative(b)
+
+
+# Reference for the integer layer: a Laurent polynomial over Q(i) as a pair
+# of plain dicts exponent -> Fraction (real parts, imaginary parts), with no
+# zero entries.
+def _clean(d):
+    return {e: Fraction(c) for e, c in d.items() if c}
+
+
+ref_parts = st.dictionaries(st.integers(min_value=-4, max_value=4), small_rationals, max_size=4)
+ref_laurents = st.tuples(ref_parts.map(_clean), ref_parts.map(_clean))
+REF_RATES = [(1, 0), (2, 0), (-1, 0), (Fraction(1, 2), 0), (0, 1), (0, -1)]
+
+
+def _from_ref(p):
+    re, im = p
+    return LaurentPoly({e: GaussianRational(re.get(e, 0), im.get(e, 0)) for e in re.keys() | im.keys()})
+
+
+def _ref_add(p, q):
+    return tuple(_clean({e: a.get(e, 0) + b.get(e, 0) for e in a.keys() | b.keys()}) for a, b in zip(p, q))
+
+
+def _ref_scale(p, c):
+    (re, im), (cr, ci) = p, c
+    keys = re.keys() | im.keys()
+    return (
+        _clean({e: re.get(e, 0) * cr - im.get(e, 0) * ci for e in keys}),
+        _clean({e: re.get(e, 0) * ci + im.get(e, 0) * cr for e in keys}),
+    )
+
+
+def _ref_shift(p, k):
+    return tuple({e + k: c for e, c in d.items()} for d in p)
+
+
+def _ref_derivative(p):
+    return tuple(_clean({e - 1: e * c for e, c in d.items()}) for d in p)
+
+
+def _agrees(lp, expected):
+    """lp holds the reference value, in the canonical form equality relies on."""
+    terms = lp.terms
+    got = (_clean({e: c.re for e, c in terms.items()}), _clean({e: c.im for e, c in terms.items()}))
+    return got == expected and lp == _from_ref(expected)
+
+
+class TestIntegerLayerAgainstReference:
+    @given(p=ref_laurents, q=ref_laurents)
+    def test_add_and_sub(self, p, q):
+        assert _agrees(_from_ref(p) + _from_ref(q), _ref_add(p, q))
+        assert _agrees(_from_ref(p) - _from_ref(q), _ref_add(p, _ref_scale(q, (-1, 0))))
+        assert _agrees(-_from_ref(p), _ref_scale(p, (-1, 0)))
+
+    @given(p=ref_laurents, c=st.tuples(small_rationals, small_rationals), k=st.integers(-5, 5))
+    def test_scalar_mul_and_shift(self, p, c, k):
+        assert _agrees(_from_ref(p) * GaussianRational(*c), _ref_scale(p, c))
+        assert _agrees(c[0] * _from_ref(p), _ref_scale(p, (c[0], 0)))
+        assert _agrees(_from_ref(p).shift(k), _ref_shift(p, k))
+
+    @given(p=ref_laurents, rate=st.sampled_from(REF_RATES))
+    def test_derivatives(self, p, rate):
+        lp = _from_ref(p)
+        assert _agrees(lp.derivative(), _ref_derivative(p))
+        expected = _ref_add(_ref_derivative(p), _ref_scale(p, rate))
+        f = ExpPoly.of(GaussianRational(*rate), lp).derivative()
+        assert f == ExpPoly.of(GaussianRational(*rate), _from_ref(expected))
+        if not lp.is_zero():
+            assert _agrees(f.sole_term()[1], expected)
