@@ -1,5 +1,6 @@
 """Command-line front end: construct polynomials, emit antiderivatives,
-expand generating functions, and run the verification suites.
+expand generating functions, and run the verification suites of
+``scepoly.suites``.  This module parses arguments and renders results.
 
 Verbs: poly, integrate, verify, genfunc.  Exit codes: 0 success,
 1 verification failure, 2 usage error.  The SCE_MAX_N environment variable
@@ -18,7 +19,7 @@ from fractions import Fraction
 from . import families, genfunc, integrals
 from .poly import Poly
 from .rational import GaussianRational
-from .report import CheckReport
+from .suites import VERIFY_SUITES, run_suite
 
 __all__ = [
     "main",
@@ -29,6 +30,9 @@ __all__ = [
     "poly_from_json",
     "poly_to_csv",
     "render_series_text",
+    "render_series_latex",
+    "series_to_json",
+    "series_to_csv",
     "render_closed_form_text",
     "VERIFY_SUITES",
 ]
@@ -44,17 +48,31 @@ class UsageError(Exception):
 # Rendering
 # ---------------------------------------------------------------------------
 
-def _term_text(c: Fraction, k: int) -> str:
-    """Magnitude of c*x^k for positive rational c, e.g. '2x', 'x^2/2', '1/2'."""
-    p, q = c.numerator, c.denominator
-    if k == 0:
-        return str(c)
-    xpart = "x" if k == 1 else f"x^{k}"
-    body = xpart if p == 1 else f"{p}{xpart}"
+def _power(var: str, k: int, latex: bool = False) -> str:
+    """'' for k = 0, then 'x', 'x^2' ('x^{2}' in LaTeX)."""
+    if k <= 1:
+        return var if k else ""
+    return f"{var}^{{{k}}}" if latex else f"{var}^{k}"
+
+
+def _term_text(p: int, q: int, k: int) -> str:
+    """(p/q)*x^k for positive p and q in lowest terms, e.g. '2x', 'x^2/2', '1/2'."""
+    xpart = _power("x", k)
+    body = xpart if p == 1 and k else f"{p}{xpart}"
     return body if q == 1 else f"{body}/{q}"
 
 
+def _term_latex(p: int, q: int, k: int) -> str:
+    """(p/q)*x^k for positive p and q in lowest terms, e.g. '2x', '\\frac{1}{2} x^{2}'."""
+    xpart = _power("x", k, latex=True)
+    if q != 1:
+        return rf"\frac{{{p}}}{{{q}}}{' ' + xpart if xpart else ''}"
+    return xpart if p == 1 and k else f"{p}{xpart}"
+
+
 def _join_signed(pieces: list[str]) -> str:
+    if not pieces:
+        return "0"
     out = pieces[0]
     for piece in pieces[1:]:
         if piece.startswith("-"):
@@ -64,55 +82,51 @@ def _join_signed(pieces: list[str]) -> str:
     return out
 
 
-def render_poly_text(p: Poly) -> str:
-    """Descending powers: 'x^2 - 2x + 2'."""
-    if p.is_zero():
-        return "0"
+def _signed_terms(p: Poly, fmt: str, magnitude) -> str:
+    """Nonzero real terms of p, highest power first, as sign and ``magnitude(|num|, den, k)``."""
     pieces = []
     for k in range(p.degree, -1, -1):
-        c = p.coeff(k)
+        c = p.coeffs[k]
         if not c:
             continue
         if c.im != 0:
-            raise ValueError("text rendering expects real coefficients")
-        mag = _term_text(abs(c.re), k)
-        pieces.append(f"-{mag}" if c.re < 0 else mag)
+            raise ValueError(f"{fmt} rendering expects real coefficients")
+        num = c.re.numerator
+        mag = magnitude(abs(num), c.re.denominator, k)
+        pieces.append(f"-{mag}" if num < 0 else mag)
     return _join_signed(pieces)
+
+
+def render_poly_text(p: Poly) -> str:
+    """Descending powers: 'x^2 - 2x + 2'."""
+    return _signed_terms(p, "text", _term_text)
 
 
 def render_poly_latex(p: Poly) -> str:
     """Descending powers, braces on exponents, \\frac for non-integer coefficients."""
-    if p.is_zero():
-        return "0"
-    pieces = []
-    for k in range(p.degree, -1, -1):
-        c = p.coeff(k)
-        if not c:
-            continue
-        if c.im != 0:
-            raise ValueError("latex rendering expects real coefficients")
-        num, den = abs(c.re.numerator), c.re.denominator
-        xpart = "" if k == 0 else ("x" if k == 1 else f"x^{{{k}}}")
-        if den != 1:
-            mag = rf"\frac{{{num}}}{{{den}}}{' ' + xpart if xpart else ''}"
-        elif k == 0:
-            mag = str(num)
-        else:
-            mag = xpart if num == 1 else f"{num}{xpart}"
-        pieces.append(f"-{mag}" if c.re < 0 else mag)
-    return _join_signed(pieces)
+    return _signed_terms(p, "latex", _term_latex)
 
 
-def _gauss_strings(c: GaussianRational) -> dict[str, str]:
-    return {"re": str(c.re), "im": str(c.im)}
+def _json_coeffs(p: Poly) -> list[dict[str, str]]:
+    return [{"re": str(c.re), "im": str(c.im)} for c in p.coeffs]
+
+
+def _json_doc(family: str, index_key: str, index: int, m: Fraction | None, coeffs) -> str:
+    doc: dict = {"family": family, index_key: index}
+    if m is not None:
+        doc["m"] = str(m)
+    doc["coeffs"] = coeffs
+    return json.dumps(doc, separators=(",", ":"))
 
 
 def poly_to_json(family: str, n: int, p: Poly, m: Fraction | None = None) -> str:
-    doc: dict = {"family": family, "n": n}
-    if m is not None:
-        doc["m"] = str(m)
-    doc["coeffs"] = [_gauss_strings(c) for c in p.coeffs]
-    return json.dumps(doc, separators=(",", ":"))
+    return _json_doc(family, "n", n, m, _json_coeffs(p))
+
+
+def series_to_json(
+    family: str, order: int, fs: genfunc.FormalSeries, m: Fraction | None = None
+) -> str:
+    return _json_doc(family, "order", order, m, [_json_coeffs(c) for c in fs.coeffs])
 
 
 def poly_from_json(text: str) -> Poly:
@@ -122,270 +136,66 @@ def poly_from_json(text: str) -> Poly:
     )
 
 
+_CSV_HEADER = "degree,re_num,re_den,im_num,im_den"
+
+
+def _csv_rows(p: Poly, prefix: str = "") -> list[str]:
+    return [
+        f"{prefix}{k},{c.re.numerator},{c.re.denominator},{c.im.numerator},{c.im.denominator}"
+        for k, c in enumerate(p.coeffs)
+    ]
+
+
 def poly_to_csv(p: Poly) -> str:
-    lines = ["degree,re_num,re_den,im_num,im_den"]
-    for k, c in enumerate(p.coeffs):
-        lines.append(
-            f"{k},{c.re.numerator},{c.re.denominator},{c.im.numerator},{c.im.denominator}"
-        )
-    return "\n".join(lines)
+    return "\n".join([_CSV_HEADER, *_csv_rows(p)])
 
 
-def _count_terms(p: Poly) -> int:
-    return sum(1 for c in p.coeffs if c)
+def series_to_csv(fs: genfunc.FormalSeries) -> str:
+    rows = [row for k, c in enumerate(fs.coeffs) for row in _csv_rows(c, f"{k},")]
+    return "\n".join([f"t_power,{_CSV_HEADER}", *rows])
+
+
+def _times_basis(p: Poly, basis: str) -> str:
+    """Nonzero p times a basis element, in text: 'x t^2', '-cos x', '(x - 1) e^x'."""
+    if p == Poly.one():
+        return basis
+    if p == -Poly.one():
+        return "-" + basis
+    text = render_poly_text(p)
+    return f"{text} {basis}" if sum(1 for c in p.coeffs if c) == 1 else f"({text}) {basis}"
 
 
 def render_series_text(fs: genfunc.FormalSeries) -> str:
     """Ascending powers of t: '1 + (x - 1) t'."""
-    pieces = []
-    for k, c in enumerate(fs.coeffs):
-        if c.is_zero():
-            continue
-        tpart = "" if k == 0 else ("t" if k == 1 else f"t^{k}")
-        if k == 0:
-            pieces.append(render_poly_text(c))
-        elif c == Poly.one():
-            pieces.append(tpart)
-        elif c == -Poly.one():
-            pieces.append("-" + tpart)
-        elif _count_terms(c) == 1:
-            pieces.append(f"{render_poly_text(c)} {tpart}")
-        else:
-            pieces.append(f"({render_poly_text(c)}) {tpart}")
-    return _join_signed(pieces) if pieces else "0"
+    return _join_signed([
+        render_poly_text(c) if k == 0 else _times_basis(c, _power("t", k))
+        for k, c in enumerate(fs.coeffs)
+        if not c.is_zero()
+    ])
 
 
-def _exp_basis_text(m: Fraction) -> str:
-    if m == 1:
-        return "e^x"
-    if m == -1:
-        return "e^(-x)"
-    sign = "-" if m < 0 else ""
-    return f"e^({sign}{_term_text(abs(m), 1)})"
+def render_series_latex(fs: genfunc.FormalSeries) -> str:
+    """Ascending powers of t, each coefficient after the first in \\left( \\right)."""
+    parts = [
+        render_poly_latex(c) if k == 0
+        else rf"\left({render_poly_latex(c)}\right) {_power('t', k, latex=True)}"
+        for k, c in enumerate(fs.coeffs)
+        if not c.is_zero()
+    ]
+    return " + ".join(parts) if parts else "0"
 
 
 def render_closed_form_text(cf: integrals.ClosedForm) -> str:
     """E.g. '(x^2 - 2x + 2) e^x + C' or '-x cos x + sin x + C'."""
     if cf.kind == "exp":
-        term_list = [(cf.exp_part, _exp_basis_text(cf.m))]
+        exponent = "x" if cf.m == 1 else f"({render_poly_text(Poly.monomial(1, cf.m))})"
+        term_list = [(cf.exp_part, f"e^{exponent}")]
     elif cf.kind == "sin":
         term_list = [(cf.cos_part, "cos x"), (cf.sin_part, "sin x")]
     else:
         term_list = [(cf.sin_part, "sin x"), (cf.cos_part, "cos x")]
-    pieces = []
-    for p, basis in term_list:
-        if p.is_zero():
-            continue
-        if p == Poly.one():
-            pieces.append(basis)
-        elif p == -Poly.one():
-            pieces.append("-" + basis)
-        elif _count_terms(p) == 1:
-            pieces.append(f"{render_poly_text(p)} {basis}")
-        else:
-            pieces.append(f"({render_poly_text(p)}) {basis}")
-    body = _join_signed(pieces) if pieces else "0"
-    return body + " + C"
-
-
-# ---------------------------------------------------------------------------
-# Verification suites
-# ---------------------------------------------------------------------------
-
-_EM_RATES = (Fraction(1), Fraction(2), Fraction(-1), Fraction(1, 2))
-
-
-def _suite_routes(max_n: int) -> CheckReport:
-    entries = []
-    for n in range(max_n + 1):
-        e = families.e_explicit(n)
-        entries.append((f"e_{n}: explicit = recurrence", e == families.e_recurrence(n)))
-        entries.append((f"e_{n}: explicit = rodrigues", e == families.e_rodrigues(n)))
-        entries.append((f"e_{n}: explicit = laguerre", e == families.e_laguerre(n)))
-        entries.append((f"em_{n}(1) = e_{n}", families.em_explicit(n, 1) == e))
-        for m in _EM_RATES[1:]:
-            entries.append(
-                (
-                    f"em_{n}(m={m}): explicit = rodrigues",
-                    families.em_explicit(n, m) == families.em_rodrigues(n, m),
-                )
-            )
-        s = families.s_explicit(n)
-        entries.append((f"s_{n}: explicit = complex-argument route", s == families.s_from_e(n)))
-        entries.append((f"s_{n}: explicit = derivative route", s == integrals.s_rodrigues(n)))
-        entries.append((f"c_{n}: -s_{n} = complex-argument route", families.c_from_s(n) == families.c_from_e(n)))
-    return CheckReport.of(entries)
-
-
-def _suite_recurrences(max_n: int) -> CheckReport:
-    report = CheckReport.of([])
-    for group in ("G1", "G2", "G3", "G4", "DIFF_EQS"):
-        report = report.merged_with(families.check_relation_group(group, max_n))
-    extra = []
-    for n in range(max_n + 1):
-        extra.append((f"shat_{n} = chat_{n}", families.shat(n) == families.chat(n)))
-        extra.append((f"c_{n} = -s_{n}", families.c_from_s(n) == -families.s_explicit(n)))
-        extra.append(
-            (
-                f"e_{n}' = {n}*e_{n-1}",
-                families.e_explicit(n).derivative() == n * families.e_explicit(n - 1),
-            )
-        )
-    return report.merged_with(CheckReport.of(extra))
-
-
-def _suite_odes(max_n: int) -> CheckReport:
-    x = Poly.x()
-    entries = []
-    for n in range(max_n + 1):
-        xn = Poly.monomial(n)
-        e = families.e_explicit(n)
-        s = families.s_explicit(n)
-        c = families.c_from_s(n)
-        entries.append((f"e_{n}' + e_{n} = x^{n}", e.derivative() + e == xn))
-        entries.append((f"s_{n}'' + s_{n} = -x^{n}", s.derivative().derivative() + s == -xn))
-        entries.append((f"c_{n}'' + c_{n} = x^{n}", c.derivative().derivative() + c == xn))
-        hyper = x * e.derivative().derivative() + (x - Poly.constant(n)) * e.derivative() - n * e
-        entries.append((f"x e_{n}'' + (x-{n}) e_{n}' - {n} e_{n} = 0", hyper.is_zero()))
-        for m in _EM_RATES:
-            em = families.em_explicit(n, m)
-            hyper_m = (
-                x * em.derivative().derivative()
-                + (m * x - Poly.constant(n)) * em.derivative()
-                - m * n * em
-            )
-            entries.append(
-                (f"x em'' + ({m}x-{n}) em' - {m}*{n} em = 0 (m={m})", hyper_m.is_zero())
-            )
-            entries.append(
-                (
-                    f"em_{n}({m})' + {m} em = {m}^{n+1} x^{n}",
-                    em.derivative() + m * em == m ** (n + 1) * xn,
-                )
-            )
-            p = families.antideriv_poly_exp(n, m)
-            entries.append((f"P' + {m}P = x^{n} (m={m})", p.derivative() + m * p == xn))
-    return CheckReport.of(entries)
-
-
-def _suite_genfunc(max_n: int) -> CheckReport:
-    entries = []
-    from math import factorial
-
-    e_series = genfunc.series_E(max_n)
-    s_series = genfunc.series_S(max_n)
-    c_series = genfunc.series_C(max_n)
-    em_series = genfunc.series_Em(2, max_n)
-    for n in range(max_n + 1):
-        f = factorial(n)
-        entries.append((f"n! [t^{n}] E = e_{n}", f * e_series.coeff(n) == families.e_explicit(n)))
-        entries.append((f"n! [t^{n}] S = s_{n}", f * s_series.coeff(n) == families.s_explicit(n)))
-        entries.append((f"n! [t^{n}] C = c_{n}", f * c_series.coeff(n) == families.c_from_s(n)))
-        entries.append(
-            (f"n! [t^{n}] E_2 = em_{n}(2)", f * em_series.coeff(n) == families.em_explicit(n, 2))
-        )
-    exp_series = genfunc.series_exp_xt(1, max_n)
-    entries.append(("dE/dx + E = e^(xt)", e_series.diff_x() + e_series == exp_series))
-    entries.append(
-        ("d2S/dx2 + S = -e^(xt)", s_series.diff_x().diff_x() + s_series == -exp_series)
-    )
-    entries.append(
-        ("d2C/dx2 + C = e^(xt)", c_series.diff_x().diff_x() + c_series == exp_series)
-    )
-    report = CheckReport.of(entries)
-    return report.merged_with(genfunc.series_connection_check(min(max_n, 20)))
-
-
-def _suite_laguerre(max_n: int) -> CheckReport:
-    x = Poly.x()
-    entries = []
-    for n in range(max_n + 1):
-        entries.append(
-            (f"e_{n} = n! L_{n}^(-{n}-1)(-x)", families.e_explicit(n) == families.e_laguerre(n))
-        )
-        for alpha in (Fraction(0), Fraction(1), Fraction(-3, 2), Fraction(5, 2)):
-            lag = families.laguerre_general(n, alpha)
-            ode = (
-                x * lag.derivative().derivative()
-                + (Poly.constant(alpha + 1) - x) * lag.derivative()
-                + n * lag
-            )
-            entries.append((f"Laguerre ODE holds for L_{n}^({alpha})", ode.is_zero()))
-    return CheckReport.of(entries)
-
-
-def _suite_theorem1(max_n: int) -> CheckReport:
-    entries = []
-    for n in range(max_n + 1):
-        for kind in ("sin", "cos"):
-            cf = integrals.closed_form(kind, n)
-            entries.append(
-                (f"d/dx closed form = x^{n} {kind} x", integrals.check_antiderivative(cf))
-            )
-        for m in _EM_RATES:
-            cf = integrals.closed_form("exp", n, m)
-            entries.append(
-                (f"d/dx closed form = x^{n} e^({m}x)", integrals.check_antiderivative(cf))
-            )
-    report = CheckReport.of(entries)
-    return report.merged_with(
-        integrals.antiderivative_recurrence_report(min(max_n, 20))
-    )
-
-
-def _suite_theorem2(max_n: int) -> CheckReport:
-    entries = []
-    entries.append(("degeneracy holds for the e_n equation", genfunc.nu_degeneracy_check(genfunc.E_SPEC)))
-    entries.append(
-        ("degeneracy fails for the Laguerre equation", not genfunc.nu_degeneracy_check(genfunc.laguerre_spec(0)))
-    )
-    shifted = genfunc.LinearHGSpec(1, 1, -1, 0, -1)
-    entries.append(("degeneracy holds for the shifted-base equation", genfunc.nu_degeneracy_check(shifted)))
-    entries.append(
-        (
-            "shifted weight independent of n (e_n equation)",
-            len({genfunc.sigma_linear(genfunc.E_SPEC, n) for n in range(11)}) == 1,
-        )
-    )
-    entries.append(
-        (
-            "closed form reproduces E",
-            genfunc.degenerate_genfunc(genfunc.E_SPEC, max_n) == genfunc.series_E(max_n),
-        )
-    )
-    for m in (Fraction(2), Fraction(1, 2)):
-        entries.append(
-            (
-                f"closed form reproduces E_m (m={m})",
-                genfunc.degenerate_genfunc(genfunc.em_spec(m), max_n)
-                == genfunc.series_Em(m, max_n),
-            )
-        )
-    return CheckReport.of(entries)
-
-
-VERIFY_SUITES = {
-    "routes": _suite_routes,
-    "recurrences": _suite_recurrences,
-    "odes": _suite_odes,
-    "genfunc": _suite_genfunc,
-    "laguerre": _suite_laguerre,
-    "theorem1": _suite_theorem1,
-    "theorem2": _suite_theorem2,
-}
-
-
-def run_suite(suite: str, max_n: int) -> CheckReport:
-    if suite == "all":
-        report = CheckReport.of([])
-        for fn in VERIFY_SUITES.values():
-            report = report.merged_with(fn(max_n))
-        return report
-    if suite not in VERIFY_SUITES:
-        raise UsageError(
-            f"unknown suite {suite!r}; choose from {', '.join([*VERIFY_SUITES, 'all'])}"
-        )
-    return VERIFY_SUITES[suite](max_n)
+    pieces = [_times_basis(p, basis) for p, basis in term_list if not p.is_zero()]
+    return _join_signed(pieces) + " + C"
 
 
 # ---------------------------------------------------------------------------
@@ -419,15 +229,20 @@ def _parse_rate(text: str) -> Fraction:
     return m
 
 
-def cmd_poly(args) -> int:
-    n = _check_index(args.n, "n")
-    m = None
+def _family_rate(args) -> Fraction | None:
+    """The rate --m: required for family 'em', refused for every other family."""
     if args.family == "em":
         if args.m is None:
             raise UsageError("family 'em' requires --m")
-        m = _parse_rate(args.m)
-    elif args.m is not None:
+        return _parse_rate(args.m)
+    if args.m is not None:
         raise UsageError("--m applies only to family 'em'")
+    return None
+
+
+def cmd_poly(args) -> int:
+    n = _check_index(args.n, "n")
+    m = _family_rate(args)
     p = families.family_poly(args.family, n, m)
     if args.format == "text":
         print(render_poly_text(p))
@@ -476,51 +291,25 @@ def cmd_verify(args) -> int:
     report = run_suite(args.suite, max_n)
     for entry in report.entries:
         print(f"{'PASS' if entry.passed else 'FAIL'}  {entry.label}")
-    failed = len(report.failures)
-    print(f"{len(report)} identities checked, {failed} failed")
+    print(f"{len(report)} identities checked, {len(report.failures)} failed")
     return 0 if report.all_passed else 1
 
 
 def cmd_genfunc(args) -> int:
     order = _check_index(args.order, "order")
-    m = None
-    if args.family == "em":
-        if args.m is None:
-            raise UsageError("family 'em' requires --m")
-        m = _parse_rate(args.m)
-    elif args.m is not None:
-        raise UsageError("--m applies only to family 'em'")
-    series = {
-        "e": genfunc.series_E,
-        "s": genfunc.series_S,
-        "c": genfunc.series_C,
-    }[args.family](order) if args.family != "em" else genfunc.series_Em(m, order)
+    m = _family_rate(args)
+    if m is not None:
+        series = genfunc.series_Em(m, order)
+    else:
+        series = {"e": genfunc.series_E, "s": genfunc.series_S, "c": genfunc.series_C}[args.family](order)
     if args.format == "text":
         print(render_series_text(series))
     elif args.format == "latex":
-        parts = []
-        for k, c in enumerate(series.coeffs):
-            if c.is_zero():
-                continue
-            tpart = "" if k == 0 else (" t" if k == 1 else f" t^{{{k}}}")
-            body = render_poly_latex(c)
-            parts.append(f"\\left({body}\\right){tpart}" if tpart else body)
-        print(" + ".join(parts) if parts else "0")
+        print(render_series_latex(series))
     elif args.format == "json":
-        doc: dict = {"family": args.family, "order": order}
-        if m is not None:
-            doc["m"] = str(m)
-        doc["coeffs"] = [[_gauss_strings(c) for c in poly.coeffs] for poly in series.coeffs]
-        print(json.dumps(doc, separators=(",", ":")))
+        print(series_to_json(args.family, order, series, m))
     else:
-        lines = ["t_power,degree,re_num,re_den,im_num,im_den"]
-        for k, poly in enumerate(series.coeffs):
-            for deg, c in enumerate(poly.coeffs):
-                lines.append(
-                    f"{k},{deg},{c.re.numerator},{c.re.denominator},"
-                    f"{c.im.numerator},{c.im.denominator}"
-                )
-        print("\n".join(lines))
+        print(series_to_csv(series))
     return 0
 
 
@@ -598,10 +387,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OverflowError) as exc:
+    except (UsageError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

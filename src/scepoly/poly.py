@@ -93,9 +93,6 @@ class Poly:
             raise ValueError(f"{context}: nonzero imaginary part in {self!r}")
         return self
 
-    def real_coeffs(self):
-        return [c.re for c in self.coeffs]
-
     # -- ring arithmetic --------------------------------------------------
 
     def __add__(self, other):

@@ -17,7 +17,6 @@ from fractions import Fraction
 from math import factorial
 
 __all__ = [
-    "Rational",
     "GaussianRational",
     "as_rational",
     "as_gaussian",
@@ -27,10 +26,6 @@ __all__ = [
     "ZERO",
     "ONE",
 ]
-
-Rational = Fraction
-
-RationalLike = "int | Fraction"
 
 
 def as_rational(value) -> Fraction:

@@ -1,8 +1,15 @@
+import contextlib
+import hashlib
+import io
 import json
+import os
 import subprocess
 import sys
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scepoly.cli import (
     main,
@@ -286,6 +293,24 @@ class TestVerifyCommand:
         code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--max-n", "6")
         assert code == 0, out
 
+    @pytest.mark.parametrize(
+        "suite,count",
+        [
+            ("routes", 70), ("recurrences", 112), ("odes", 112), ("genfunc", 38),
+            ("laguerre", 35), ("theorem1", 68), ("theorem2", 7), ("all", 442),
+        ],
+    )
+    def test_identity_count(self, capsys, suite, count):
+        code, out, _ = run_cli(capsys, "verify", "--suite", suite, "--max-n", "6")
+        assert code == 0
+        assert out.endswith(f"\n{count} identities checked, 0 failed\n")
+
+    def test_all_output_digest(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--max-n", "6")
+        assert code == 0
+        digest = hashlib.sha256(out.encode()).hexdigest()
+        assert digest == "4b401828176f3045014ee90b312e08adcd62c870c6f185da7c799b1a59f98631"
+
 
 class TestGenfuncCommand:
     def test_em_with_rate(self, capsys):
@@ -312,6 +337,64 @@ class TestGenfuncCommand:
         lines = out.strip().splitlines()
         assert lines[0] == "t_power,degree,re_num,re_den,im_num,im_den"
 
+    @pytest.mark.parametrize(
+        "argv,fmt,expected",
+        [
+            (
+                ["--family", "e", "--order", "3"], "latex",
+                r"1 + \left(x - 1\right) t + \left(\frac{1}{2} x^{2} - x + 1\right) t^{2}"
+                r" + \left(\frac{1}{6} x^{3} - \frac{1}{2} x^{2} + x - 1\right) t^{3}",
+            ),
+            (
+                ["--family", "e", "--order", "3"], "json",
+                '{"family":"e","order":3,"coeffs":[[{"re":"1","im":"0"}],'
+                '[{"re":"-1","im":"0"},{"re":"1","im":"0"}],'
+                '[{"re":"1","im":"0"},{"re":"-1","im":"0"},{"re":"1/2","im":"0"}],'
+                '[{"re":"-1","im":"0"},{"re":"1","im":"0"},{"re":"-1/2","im":"0"},{"re":"1/6","im":"0"}]]}',
+            ),
+            (
+                ["--family", "e", "--order", "3"], "csv",
+                "t_power,degree,re_num,re_den,im_num,im_den\n0,0,1,1,0,1\n1,0,-1,1,0,1\n"
+                "1,1,1,1,0,1\n2,0,1,1,0,1\n2,1,-1,1,0,1\n2,2,1,2,0,1\n3,0,-1,1,0,1\n"
+                "3,1,1,1,0,1\n3,2,-1,2,0,1\n3,3,1,6,0,1",
+            ),
+            (
+                ["--family", "em", "--m", "-5/3", "--order", "2"], "latex",
+                r"1 + \left(-\frac{5}{3} x - 1\right) t"
+                r" + \left(\frac{25}{18} x^{2} + \frac{5}{3} x + 1\right) t^{2}",
+            ),
+            (
+                ["--family", "em", "--m", "-5/3", "--order", "2"], "json",
+                '{"family":"em","order":2,"m":"-5/3","coeffs":[[{"re":"1","im":"0"}],'
+                '[{"re":"-1","im":"0"},{"re":"-5/3","im":"0"}],'
+                '[{"re":"1","im":"0"},{"re":"5/3","im":"0"},{"re":"25/18","im":"0"}]]}',
+            ),
+            (
+                ["--family", "em", "--m", "-5/3", "--order", "2"], "csv",
+                "t_power,degree,re_num,re_den,im_num,im_den\n0,0,1,1,0,1\n1,0,-1,1,0,1\n"
+                "1,1,-5,3,0,1\n2,0,1,1,0,1\n2,1,5,3,0,1\n2,2,25,18,0,1",
+            ),
+            (
+                ["--family", "s", "--order", "2"], "latex",
+                r"-1 + \left(-x\right) t + \left(-\frac{1}{2} x^{2} + 1\right) t^{2}",
+            ),
+            (
+                ["--family", "s", "--order", "2"], "json",
+                '{"family":"s","order":2,"coeffs":[[{"re":"-1","im":"0"}],'
+                '[{"re":"0","im":"0"},{"re":"-1","im":"0"}],'
+                '[{"re":"1","im":"0"},{"re":"0","im":"0"},{"re":"-1/2","im":"0"}]]}',
+            ),
+            (
+                ["--family", "s", "--order", "2"], "csv",
+                "t_power,degree,re_num,re_den,im_num,im_den\n0,0,-1,1,0,1\n1,0,0,1,0,1\n"
+                "1,1,-1,1,0,1\n2,0,1,1,0,1\n2,1,0,1,0,1\n2,2,-1,2,0,1",
+            ),
+        ],
+    )
+    def test_exact_output(self, capsys, argv, fmt, expected):
+        code, out, err = run_cli(capsys, "genfunc", *argv, "--format", fmt)
+        assert (code, out, err) == (0, expected + "\n", "")
+
 
 class TestConsoleEntry:
     def test_module_invocation(self):
@@ -331,3 +414,54 @@ class TestConsoleEntry:
             "0,-1,1,0,1",
             "1,1,1,0,1",
         ]
+
+
+INDEXES = st.integers(-2, 10).map(str)
+RATES = st.integers(-20, 20).map(str) | st.builds(
+    "{}/{}".format, st.integers(-20, 20), st.integers(-20, 20)
+)
+BOUNDS = st.floats(-1e3, 1e3).map(repr) | st.sampled_from(["inf", "-inf", "nan", "1e308", "-1e308"])
+FORMATS = st.sampled_from(["text", "latex", "json", "csv"])
+VERBS = {
+    "poly": {"--n": INDEXES, "--m": RATES, "--format": FORMATS},
+    "integrate": {
+        "--kind": st.sampled_from(["sin", "cos", "exp"]),
+        "--n": INDEXES, "--m": RATES, "--a": BOUNDS, "--b": BOUNDS,
+    },
+    "verify": {
+        "--suite": st.sampled_from(["routes", "theorem2", "all", "bogus"]), "--max-n": INDEXES,
+    },
+    "genfunc": {
+        "--family": st.sampled_from(["e", "s", "c", "em"]),
+        "--order": INDEXES, "--m": RATES, "--format": FORMATS,
+    },
+}
+
+
+@st.composite
+def cli_argvs(draw):
+    """A verb and a random subset of its flags, in random order."""
+    verb = draw(st.sampled_from(sorted(VERBS)))
+    head = [verb]
+    if verb == "poly":
+        head.append(draw(st.sampled_from(["e", "s", "c", "shat", "chat", "em"])))
+    pairs = [
+        [flag, draw(values)]
+        for flag, values in VERBS[verb].items()
+        if draw(st.sampled_from([True, True, True, False]))
+    ]
+    return head + [token for pair in draw(st.permutations(pairs)) for token in pair]
+
+
+class TestFuzzedArgv:
+    """Every argv exits 0, 1 or 2 through main, never with an exception."""
+
+    @given(cli_argvs())
+    @settings(deadline=None, max_examples=150)
+    def test_exit_code_contract(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.dict(os.environ, {"SCE_MAX_N": "6"}):
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        assert code in (0, 1, 2), (argv, code, err.getvalue())
+        assert "Traceback" not in err.getvalue()

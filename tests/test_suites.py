@@ -1,0 +1,28 @@
+"""The verification suites as a library, with no argument parsing."""
+
+import pytest
+
+from scepoly import cli, suites
+from scepoly.suites import VERIFY_SUITES, run_suite
+
+
+@pytest.mark.parametrize("name", list(VERIFY_SUITES))
+def test_each_suite_passes(name):
+    report = run_suite(name, 6)
+    assert len(report) > 0
+    assert report.all_passed, report.failures
+
+
+def test_all_is_every_suite_in_order():
+    expected = tuple(e for name in VERIFY_SUITES for e in run_suite(name, 3).entries)
+    assert run_suite("all", 3).entries == expected
+
+
+def test_unknown_name_raises_value_error():
+    with pytest.raises(ValueError, match="unknown suite 'bogus'"):
+        run_suite("bogus", 3)
+
+
+def test_cli_shares_the_suite_table():
+    # Wrapping a suite in cli.VERIFY_SUITES must reach run_suite.
+    assert cli.VERIFY_SUITES is suites.VERIFY_SUITES
