@@ -202,6 +202,23 @@ def render_closed_form_text(cf: integrals.ClosedForm) -> str:
 # Commands
 # ---------------------------------------------------------------------------
 
+def _print_exact(render, value) -> None:
+    """print(render(value)) with Python's int-to-str digit limit lifted while it renders.
+
+    Exact output may hold integers past the limit (4,300 digits; none before
+    3.10.7).  Arguments are still parsed under it.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        text = render(value)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    print(text)
+
+
 def _index_cap() -> int:
     raw = os.environ.get("SCE_MAX_N", "64")
     try:
@@ -244,14 +261,11 @@ def cmd_poly(args) -> int:
     n = _check_index(args.n, "n")
     m = _family_rate(args)
     p = families.family_poly(args.family, n, m)
-    if args.format == "text":
-        print(render_poly_text(p))
-    elif args.format == "latex":
-        print(render_poly_latex(p))
-    elif args.format == "json":
-        print(poly_to_json(args.family, n, p, m))
-    else:
-        print(poly_to_csv(p))
+    renderers = {
+        "text": render_poly_text, "latex": render_poly_latex, "csv": poly_to_csv,
+        "json": lambda q: poly_to_json(args.family, n, q, m),
+    }
+    _print_exact(renderers[args.format], p)
     return 0
 
 
@@ -262,7 +276,7 @@ def cmd_integrate(args) -> int:
     m = _parse_rate(args.m) if args.m is not None else None
     cf = integrals.closed_form(args.kind, n, m)
     if args.a is None and args.b is None:
-        print(render_closed_form_text(cf))
+        _print_exact(render_closed_form_text, cf)
         return 0
     if args.a is None or args.b is None:
         raise UsageError("provide both --a and --b, or neither")
@@ -302,14 +316,11 @@ def cmd_genfunc(args) -> int:
         series = genfunc.series_Em(m, order)
     else:
         series = {"e": genfunc.series_E, "s": genfunc.series_S, "c": genfunc.series_C}[args.family](order)
-    if args.format == "text":
-        print(render_series_text(series))
-    elif args.format == "latex":
-        print(render_series_latex(series))
-    elif args.format == "json":
-        print(series_to_json(args.family, order, series, m))
-    else:
-        print(series_to_csv(series))
+    renderers = {
+        "text": render_series_text, "latex": render_series_latex, "csv": series_to_csv,
+        "json": lambda fs: series_to_json(args.family, order, fs, m),
+    }
+    _print_exact(renderers[args.format], series)
     return 0
 
 

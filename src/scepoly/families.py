@@ -10,7 +10,8 @@ separately so they can be cross-checked exactly:
 
 together with the generalized-rate family e_n^(m) (explicit + Rodrigues),
 the sine/cosine families s_n, c_n and their hatted companions, and the
-recurrence groups linking all of them.
+recurrence groups linking all of them.  All Rodrigues routes (e, e^(m) and
+s) share one derivative, ``rodrigues_part``.
 
 Index convention: every constructor accepts any integer index and returns
 the zero polynomial for a negative one, which is exactly the convention the
@@ -28,12 +29,13 @@ from fractions import Fraction
 from math import factorial
 
 from .poly import ExpPoly, LaurentPoly, Poly
-from .rational import I, ONE, as_gaussian, as_rational
+from .rational import I, as_rate, as_rational
 from .report import CheckReport
 
 __all__ = [
     "e_explicit",
     "e_recurrence",
+    "rodrigues_part",
     "e_rodrigues",
     "e_laguerre",
     "laguerre_general",
@@ -50,13 +52,6 @@ __all__ = [
     "check_relation_group",
     "RELATION_GROUPS",
 ]
-
-
-def _require_rate(m) -> Fraction:
-    m = as_rational(m)
-    if m == 0:
-        raise ValueError("rate must be nonzero")
-    return m
 
 
 # ---------------------------------------------------------------------------
@@ -82,20 +77,23 @@ def e_recurrence(n: int) -> Poly:
     return p
 
 
-def e_rodrigues(n: int) -> Poly:
-    """e_n = x^(n+1) e^(-x) d^n/dx^n (x^(-1) e^x), computed exactly.
+def rodrigues_part(rate, n: int) -> LaurentPoly:
+    """x^(n+1) e^(-rate x) d^n/dx^n (x^(-1) e^(rate x)), by n exact derivatives.
 
-    The n-th derivative stays a single-rate exponential polynomial; after
-    multiplying by x^(n+1) the exponents must all be >= 0 and the e^x factor
-    cancels.  Either failing would be an implementation bug and raises.
+    Each derivative maps p(x) e^(rate x) to (p' + rate*p) e^(rate x), so the
+    n-th derivative is one term at the same rate; its part times x^(n+1) is
+    returned.  Callers convert with ``to_poly``, which raises on a negative
+    exponent left over (an implementation bug).
     """
+    _, part = ExpPoly.of(rate, LaurentPoly({-1: 1})).nth_derivative(n).sole_term()
+    return part.shift(n + 1)
+
+
+def e_rodrigues(n: int) -> Poly:
+    """e_n = x^(n+1) e^(-x) d^n/dx^n (x^(-1) e^x), computed exactly."""
     if n < 0:
         return Poly.zero()
-    seed = ExpPoly.of(1, LaurentPoly({-1: 1}))
-    rate, part = seed.nth_derivative(n).sole_term()
-    if rate != ONE:
-        raise ValueError(f"rate drifted to {rate!r} during differentiation")
-    return part.shift(n + 1).to_poly()
+    return rodrigues_part(1, n).to_poly()
 
 
 def laguerre_general(n: int, alpha) -> Poly:
@@ -128,7 +126,7 @@ def e_laguerre(n: int) -> Poly:
 
 def em_explicit(n: int, m) -> Poly:
     """e_n^(m)(x) = m^n x^n + sum_{l=0}^{n-1} (-1)^(l+n) m^l (n!/l!) x^l."""
-    m = _require_rate(m)
+    m = as_rate(m)
     if n < 0:
         return Poly.zero()
     coeffs = [
@@ -141,14 +139,10 @@ def em_explicit(n: int, m) -> Poly:
 
 def em_rodrigues(n: int, m) -> Poly:
     """e_n^(m) = x^(n+1) e^(-mx) d^n/dx^n (x^(-1) e^(mx))."""
-    m = _require_rate(m)
+    m = as_rate(m)
     if n < 0:
         return Poly.zero()
-    seed = ExpPoly.of(m, LaurentPoly({-1: 1}))
-    rate, part = seed.nth_derivative(n).sole_term()
-    if rate != as_gaussian(m):
-        raise ValueError(f"rate drifted to {rate!r} during differentiation")
-    return part.shift(n + 1).to_poly()
+    return rodrigues_part(m, n).to_poly()
 
 
 def antideriv_poly_exp(n: int, m) -> Poly:
@@ -157,7 +151,7 @@ def antideriv_poly_exp(n: int, m) -> Poly:
     Equivalently P' + m*P = x^n.  P = e_n^(m) / m^(n+1); the division by
     m^(n+1) is what makes the product rule close (see the module note).
     """
-    m = _require_rate(m)
+    m = as_rate(m)
     if n < 0:
         return Poly.zero()
     return em_explicit(n, m) / m ** (n + 1)

@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import factorial
 
 from .poly import Poly
-from .rational import I, as_rational, binomial_general
+from .rational import I, as_rate, as_rational
 from .report import CheckReport
 
 __all__ = [
@@ -167,10 +167,7 @@ def series_E(order: int) -> FormalSeries:
 
 def series_Em(m, order: int) -> FormalSeries:
     """e^(mxt)/(1+t); n!*[t^n] is e_n^(m)."""
-    m = as_rational(m)
-    if m == 0:
-        raise ValueError("rate must be nonzero")
-    return series_exp_xt(m, order) * _inv_one_plus_t(order)
+    return series_exp_xt(as_rate(m), order) * _inv_one_plus_t(order)
 
 
 def series_S(order: int) -> FormalSeries:
@@ -231,16 +228,20 @@ class LinearHGSpec:
         """Eigenvalue making the degree-n solution polynomial: -n*B' (A'' = 0 here)."""
         return -n * self.gamma
 
+    def residual(self, y: Poly, n: int) -> Poly:
+        """A*y'' + B_n*y' + lambda_n*y, which is zero iff y solves the degree-n equation."""
+        dy = y.derivative()
+        a = Poly([self.beta, self.alpha])
+        b = Poly([self.delta(n), self.gamma])
+        return a * dy.derivative() + b * dy + self.lambda_n(n) * y
+
 
 E_SPEC = LinearHGSpec(1, 0, 1, 0, -1)
 
 
 def em_spec(m) -> LinearHGSpec:
     """The equation x*y'' + (mx - n)*y' - mn*y = 0 of the rate-m family."""
-    m = as_rational(m)
-    if m == 0:
-        raise ValueError("rate must be nonzero")
-    return LinearHGSpec(1, 0, m, 0, -1)
+    return LinearHGSpec(1, 0, as_rate(m), 0, -1)
 
 
 def laguerre_spec(alpha_l) -> LinearHGSpec:
@@ -256,12 +257,6 @@ class WeightForm:
     beta: Fraction
     exponent: Fraction
     rate: Fraction
-
-    def __str__(self) -> str:
-        base = f"({self.alpha}x+{self.beta})" if self.beta else (
-            "x" if self.alpha == 1 else f"({self.alpha}x)"
-        )
-        return f"{base}^({self.exponent}) e^({self.rate}x)"
 
 
 def rho_linear(spec: LinearHGSpec, n: int) -> WeightForm:
@@ -308,14 +303,14 @@ def degenerate_genfunc(spec: LinearHGSpec, order: int) -> FormalSeries:
             "shifted weight (delta1 = -alpha)"
         )
     k_exp = sigma_linear(spec, 0).exponent
-    binom = FormalSeries(
-        Poly.constant(binomial_general(k_exp, k) * spec.alpha**k)
-        for k in range(order + 1)
-    )
+    # alpha^k C(K, k), by the ratio C(K, k+1) = C(K, k) (K-k)/(k+1)
+    binom = [Fraction(1)]
+    for k in range(order):
+        binom.append(binom[-1] * spec.alpha * (k_exp - k) / (k + 1))
     # exp(g(x) * t) with g = (gamma/alpha)(alpha*x + beta) = gamma*x + gamma*beta/alpha
     g = Poly([spec.gamma * spec.beta / spec.alpha, spec.gamma])
     powers = [Poly.one()]
     for _ in range(order):
         powers.append(powers[-1] * g)
     expo = FormalSeries(g_k * Fraction(1, factorial(k)) for k, g_k in enumerate(powers))
-    return binom * expo
+    return FormalSeries(binom) * expo

@@ -22,9 +22,9 @@ from typing import Callable, Optional
 
 import mpmath
 
-from .families import antideriv_poly_exp, c_from_s, chat, s_explicit, shat
+from .families import antideriv_poly_exp, c_from_s, chat, rodrigues_part, s_explicit, shat
 from .poly import ExpPoly, LaurentPoly, Poly
-from .rational import I, as_rational
+from .rational import I, as_rate, as_rational
 from .report import CheckReport
 
 __all__ = [
@@ -51,9 +51,7 @@ class ClosedForm:
     For kind 'sin': cos_part = s_n, sin_part = shat_{n-1}.
     For kind 'cos': sin_part = c_n, cos_part = chat_{n-1}.
     For kind 'exp': exp_part = P with P' + m*P = x^n; m is the rate.
-    ``const`` is the integration constant (it cancels in definite integrals
-    and differentiates away; nothing in scope pins its value, so it defaults
-    to zero but stays an explicit field).
+    The integration constant, which differentiates away, is left out.
     """
 
     kind: str
@@ -62,7 +60,6 @@ class ClosedForm:
     cos_part: Optional[Poly] = None
     sin_part: Optional[Poly] = None
     exp_part: Optional[Poly] = None
-    const: Fraction = Fraction(0)
 
 
 def closed_form(kind: str, n: int, m=None) -> ClosedForm:
@@ -72,9 +69,7 @@ def closed_form(kind: str, n: int, m=None) -> ClosedForm:
     if n < 0:
         raise ValueError("n must be >= 0")
     if kind == "exp":
-        m = Fraction(1) if m is None else as_rational(m)
-        if m == 0:
-            raise ValueError("rate must be nonzero")
+        m = as_rate(1 if m is None else m)
         return ClosedForm(kind, n, m=m, exp_part=antideriv_poly_exp(n, m))
     if m is not None:
         raise ValueError("rate m applies only to kind 'exp'")
@@ -98,7 +93,7 @@ def _lift_trig(cos_part: Poly, sin_part: Poly) -> ExpPoly:
 
 
 def lift_closed_form(cf: ClosedForm) -> ExpPoly:
-    """The antiderivative as an exact exponential polynomial (constant dropped)."""
+    """The antiderivative as an exact exponential polynomial."""
     if cf.kind == "exp":
         return ExpPoly.of(cf.m, cf.exp_part)
     return _lift_trig(cf.cos_part, cf.sin_part)
@@ -125,77 +120,45 @@ def s_rodrigues(n: int) -> Poly:
     """s_n from the complex-exponential weight-derivative route:
 
     s_n(x) = (-i^n/2) x^(n+1) [ (-1)^n e^(-ix) d^n/dx^n (x^(-1) e^(ix))
-                               + e^(ix)  d^n/dx^n (x^(-1) e^(-ix)) ].
+                               + e^(ix)  d^n/dx^n (x^(-1) e^(-ix)) ],
 
-    The two derivatives each stay single-rate; stripping the exponentials
-    leaves Laurent parts whose combination must be a real polynomial.
+    a combination of the Rodrigues parts at rates i and -i that must be real.
     """
     if n < 0:
         return Poly.zero()
-    rate_p, part_p = ExpPoly.of(I, LaurentPoly({-1: 1})).nth_derivative(n).sole_term()
-    rate_m, part_m = ExpPoly.of(-I, LaurentPoly({-1: 1})).nth_derivative(n).sole_term()
-    if rate_p != I or rate_m != -I:
-        raise ValueError("rates drifted during differentiation")
-    combo = part_p * ((-1) ** n) + part_m
-    prefactor = -(I**n) / 2
-    return (combo * prefactor).shift(n + 1).to_poly().require_real("s_rodrigues")
+    combo = rodrigues_part(I, n) * ((-1) ** n) + rodrigues_part(-I, n)
+    return (combo * (-(I**n) / 2)).to_poly().require_real("s_rodrigues")
 
 
 def antiderivative_recurrence_report(n_max: int) -> CheckReport:
     """Integration-by-parts recurrences at the antiderivative level.
 
     Checks, in exact exponential-polynomial form, that each difference below
-    is a constant (here the integration constants are all zero, so it must
-    vanish outright):
+    is a constant, i.e. that its derivative vanishes:
 
         S_n - [-x^n cos x + n C_{n-1}]
         C_n - [ x^n sin x - n S_{n-1}]
         S_n - [-x^n cos x + n x^(n-1) sin x - n(n-1) S_{n-2}]
         C_n - [ x^n sin x + n x^(n-1) cos x - n(n-1) C_{n-2}]
+
+    Each S_k, C_k, x^k sin x and x^k cos x is lifted once; S_k = C_k = 0 for k < 0.
     """
-
-    def lift_sin(k: int) -> ExpPoly:
-        if k < 0:
-            return ExpPoly()
-        return lift_closed_form(closed_form("sin", k))
-
-    def lift_cos(k: int) -> ExpPoly:
-        if k < 0:
-            return ExpPoly()
-        return lift_closed_form(closed_form("cos", k))
-
-    def is_constant(f: ExpPoly) -> bool:
-        if f.is_zero():
-            return True
-        if len(f.terms) != 1:
-            return False
-        rate, part = f.sole_term()
-        return not rate and set(part.terms) <= {0}
-
-    entries = []
-    for n in range(n_max + 1):
-        xn_cos = _lift_trig(Poly.monomial(n), Poly.zero())
-        xn_sin = _lift_trig(Poly.zero(), Poly.monomial(n))
-        diff = lift_sin(n) - (-xn_cos + n * lift_cos(n - 1))
-        entries.append((f"S_{n} = -x^{n} cos x + {n} C_{n-1}", is_constant(diff)))
-        diff = lift_cos(n) - (xn_sin - n * lift_sin(n - 1))
-        entries.append((f"C_{n} = x^{n} sin x - {n} S_{n-1}", is_constant(diff)))
+    ks = range(n_max + 1)
+    S = {k: lift_closed_form(closed_form("sin", k)) for k in ks}
+    C = {k: lift_closed_form(closed_form("cos", k)) for k in ks}
+    xs = [lift_integrand("sin", k) for k in ks]
+    xc = [lift_integrand("cos", k) for k in ks]
+    zero = ExpPoly()
+    diffs = []
+    for n in ks:
+        s1, c1, s2, c2 = S.get(n - 1, zero), C.get(n - 1, zero), S.get(n - 2, zero), C.get(n - 2, zero)
+        diffs.append((f"S_{n} = -x^{n} cos x + {n} C_{n-1}", S[n] - (-xc[n] + n * c1)))
+        diffs.append((f"C_{n} = x^{n} sin x - {n} S_{n-1}", C[n] - (xs[n] - n * s1)))
         if n >= 1:
-            xn1_sin = _lift_trig(Poly.zero(), Poly.monomial(n - 1))
-            xn1_cos = _lift_trig(Poly.monomial(n - 1), Poly.zero())
-            diff = lift_sin(n) - (
-                -xn_cos + n * xn1_sin - n * (n - 1) * lift_sin(n - 2)
-            )
-            entries.append(
-                (f"S_{n} two-step reduction to S_{n-2}", is_constant(diff))
-            )
-            diff = lift_cos(n) - (
-                xn_sin + n * xn1_cos - n * (n - 1) * lift_cos(n - 2)
-            )
-            entries.append(
-                (f"C_{n} two-step reduction to C_{n-2}", is_constant(diff))
-            )
-    return CheckReport.of(entries)
+            nn = n * (n - 1)
+            diffs.append((f"S_{n} two-step reduction to S_{n-2}", S[n] - (-xc[n] + n * xs[n - 1] - nn * s2)))
+            diffs.append((f"C_{n} two-step reduction to C_{n-2}", C[n] - (xs[n] + n * xc[n - 1] - nn * c2)))
+    return CheckReport.of([(label, diff.derivative().is_zero()) for label, diff in diffs])
 
 
 # ---------------------------------------------------------------------------
@@ -205,10 +168,8 @@ def antiderivative_recurrence_report(n_max: int) -> CheckReport:
 def eval_closed_form(cf: ClosedForm, x: float) -> float:
     """Evaluate the antiderivative at a float point (Horner + host sin/cos/exp)."""
     if cf.kind == "exp":
-        return cf.exp_part.eval_float(x) * math.exp(float(cf.m) * x) + float(cf.const)
-    value = cf.cos_part.eval_float(x) * math.cos(x)
-    value += cf.sin_part.eval_float(x) * math.sin(x)
-    return value + float(cf.const)
+        return cf.exp_part.eval_float(x) * math.exp(float(cf.m) * x)
+    return cf.cos_part.eval_float(x) * math.cos(x) + cf.sin_part.eval_float(x) * math.sin(x)
 
 
 def _eval_mp(cf: ClosedForm, x: float):
@@ -226,7 +187,7 @@ def _eval_mp(cf: ClosedForm, x: float):
 
 
 def definite_integral(cf: ClosedForm, a: float, b: float) -> float:
-    """Newton-Leibniz on the closed form; the integration constant cancels.
+    """Newton-Leibniz on the closed form.
 
     The endpoint difference is formed in extended precision: the antiderivative
     oscillates with amplitude ~n!, so a double-precision difference would lose

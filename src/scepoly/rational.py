@@ -19,6 +19,7 @@ from math import factorial
 __all__ = [
     "GaussianRational",
     "as_rational",
+    "as_rate",
     "as_gaussian",
     "factorial",
     "binomial_general",
@@ -35,6 +36,14 @@ def as_rational(value) -> Fraction:
     if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
+
+
+def as_rate(value) -> Fraction:
+    """``as_rational`` for the rate m of an exponential e^(mx), which must be nonzero."""
+    m = as_rational(value)
+    if m == 0:
+        raise ValueError("rate must be nonzero")
+    return m
 
 
 def binomial_general(a, j: int) -> Fraction:

@@ -59,7 +59,7 @@ def _suite_recurrences(max_n: int) -> CheckReport:
 
 
 def _suite_odes(max_n: int) -> CheckReport:
-    x = Poly.x()
+    em_specs = {m: genfunc.em_spec(m) for m in _EM_RATES}
     entries = []
     for n in range(max_n + 1):
         xn = Poly.monomial(n)
@@ -69,18 +69,10 @@ def _suite_odes(max_n: int) -> CheckReport:
         entries.append((f"e_{n}' + e_{n} = x^{n}", e.derivative() + e == xn))
         entries.append((f"s_{n}'' + s_{n} = -x^{n}", s.derivative().derivative() + s == -xn))
         entries.append((f"c_{n}'' + c_{n} = x^{n}", c.derivative().derivative() + c == xn))
-        hyper = x * e.derivative().derivative() + (x - Poly.constant(n)) * e.derivative() - n * e
-        entries.append((f"x e_{n}'' + (x-{n}) e_{n}' - {n} e_{n} = 0", hyper.is_zero()))
-        for m in _EM_RATES:
+        entries.append((f"x e_{n}'' + (x-{n}) e_{n}' - {n} e_{n} = 0", genfunc.E_SPEC.residual(e, n).is_zero()))
+        for m, spec in em_specs.items():
             em = families.em_explicit(n, m)
-            hyper_m = (
-                x * em.derivative().derivative()
-                + (m * x - Poly.constant(n)) * em.derivative()
-                - m * n * em
-            )
-            entries.append(
-                (f"x em'' + ({m}x-{n}) em' - {m}*{n} em = 0 (m={m})", hyper_m.is_zero())
-            )
+            entries.append((f"x em'' + ({m}x-{n}) em' - {m}*{n} em = 0 (m={m})", spec.residual(em, n).is_zero()))
             entries.append(
                 (
                     f"em_{n}({m})' + {m} em = {m}^{n+1} x^{n}",
@@ -118,19 +110,14 @@ def _suite_genfunc(max_n: int) -> CheckReport:
 
 
 def _suite_laguerre(max_n: int) -> CheckReport:
-    x = Poly.x()
+    specs = {a: genfunc.laguerre_spec(a) for a in (Fraction(0), Fraction(1), Fraction(-3, 2), Fraction(5, 2))}
     entries = []
     for n in range(max_n + 1):
         entries.append(
             (f"e_{n} = n! L_{n}^(-{n}-1)(-x)", families.e_explicit(n) == families.e_laguerre(n))
         )
-        for alpha in (Fraction(0), Fraction(1), Fraction(-3, 2), Fraction(5, 2)):
-            lag = families.laguerre_general(n, alpha)
-            ode = (
-                x * lag.derivative().derivative()
-                + (Poly.constant(alpha + 1) - x) * lag.derivative()
-                + n * lag
-            )
+        for alpha, spec in specs.items():
+            ode = spec.residual(families.laguerre_general(n, alpha), n)
             entries.append((f"Laguerre ODE holds for L_{n}^({alpha})", ode.is_zero()))
     return CheckReport.of(entries)
 

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from math import factorial
 from unittest import mock
 
 import pytest
@@ -147,6 +148,45 @@ class TestRenderers:
             render_closed_form_text(closed_form("exp", 0, Fraction(-1)))
             == "-e^(-x) + C"
         )
+
+
+def _decimal(k: int) -> str:
+    """str(k) past the interpreter's int-to-str digit limit."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(k)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+class TestLongExactOutput:
+    """e_3000's constant term is 3000!, 9,131 digits: past Python's 4,300-digit limit."""
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_e_3000(self, capsys, monkeypatch, fmt):
+        monkeypatch.setenv("SCE_MAX_N", "5000")
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run_cli(capsys, "poly", "e", "--n", "3000", "--format", fmt)
+        assert (code, err) == (0, "")
+        assert sys.get_int_max_str_digits() == limit  # lifted only while rendering
+        digits = _decimal(factorial(3000))
+        if fmt == "text":
+            assert out.startswith("x^3000 - 3000x^2999 + ")
+            assert out.endswith(f" + {digits}\n")
+        elif fmt == "json":
+            coeffs = json.loads(out)["coeffs"]
+            assert len(coeffs) == 3001
+            assert coeffs[0] == {"re": digits, "im": "0"}
+        else:
+            rows = out.splitlines()
+            assert len(rows) == 3002
+            assert rows[1] == f"0,{digits},1,0,1"
+
+    def test_rate_is_parsed_under_the_limit(self, capsys):
+        code, _, err = run_cli(capsys, "poly", "em", "--n", "1", "--m", "7" * 5000)
+        assert code == 2
+        assert "malformed rational" in err
 
 
 class TestExitCodes:

@@ -17,11 +17,13 @@ from scepoly.families import (
     em_rodrigues,
     family_poly,
     laguerre_general,
+    rodrigues_part,
     s_explicit,
     s_from_e,
     shat,
 )
 from scepoly.poly import ExpPoly, Poly
+from scepoly.rational import I
 
 X = Poly.x()
 
@@ -123,6 +125,29 @@ class TestLaguerre:
                 + n * lag
             )
             assert lhs.is_zero()
+
+
+class TestRodriguesPart:
+    """x^(n+1) e^(-rx) d^n/dx^n (x^(-1) e^(rx)), the shared Rodrigues derivative."""
+
+    def test_n3_values(self):
+        # recorded from the three separate Rodrigues routes this helper replaced
+        assert rodrigues_part(1, 3).to_poly() == Poly([-6, 6, -3, 1])
+        assert rodrigues_part(Fraction(-1, 2), 3).to_poly() == Poly(
+            [-6, -3, Fraction(-3, 4), Fraction(-1, 8)]
+        )
+        assert rodrigues_part(I, 3).to_poly() == Poly([-6, 6 * I, 3, -I])
+        assert rodrigues_part(-I, 3).to_poly() == Poly([-6, -6 * I, 3, I])
+
+    @pytest.mark.parametrize("rate", [1, Fraction(-1, 2), I, -I])
+    def test_matches_rate_m_sum(self, rate):
+        # e_n^(r) = sum_l (-1)^(l+n) r^l (n!/l!) x^l, at real and imaginary r
+        for n in range(25):
+            expected = Poly(
+                (-1) ** (l + n) * rate**l * Fraction(factorial(n), factorial(l))
+                for l in range(n + 1)
+            )
+            assert rodrigues_part(rate, n).to_poly() == expected
 
 
 class TestEmFamily:

@@ -3,7 +3,7 @@ from math import factorial
 
 import pytest
 
-from scepoly.families import c_from_s, e_explicit, em_explicit, s_explicit
+from scepoly.families import c_from_s, e_explicit, em_explicit, laguerre_general, s_explicit
 from scepoly.genfunc import (
     E_SPEC,
     FormalSeries,
@@ -173,6 +173,61 @@ class TestWeightForms:
         m = Fraction(7, 2)
         for n in range(6):
             assert em_spec(m).lambda_n(n) == -m * n
+
+
+def d2(y):
+    return y.derivative().derivative()
+
+
+class TestResidual:
+    """``LinearHGSpec.residual`` is the NU equation the suites used to write out by hand."""
+
+    def test_e_equation(self):
+        for n in range(11):
+            e = e_explicit(n)
+            by_hand = X * d2(e) + (X - Poly.constant(n)) * e.derivative() - n * e
+            assert E_SPEC.residual(e, n) == by_hand
+            assert by_hand.is_zero()
+
+    @pytest.mark.parametrize("m", [Fraction(1), Fraction(2), Fraction(-1), Fraction(1, 2)])
+    def test_rate_m_equation(self, m):
+        for n in range(11):
+            em = em_explicit(n, m)
+            by_hand = X * d2(em) + (m * X - Poly.constant(n)) * em.derivative() - m * n * em
+            assert em_spec(m).residual(em, n) == by_hand
+            assert by_hand.is_zero()
+
+    @pytest.mark.parametrize("alpha", [Fraction(0), Fraction(1), Fraction(-3, 2), Fraction(5, 2)])
+    def test_laguerre_equation(self, alpha):
+        for n in range(11):
+            lag = laguerre_general(n, alpha)
+            by_hand = X * d2(lag) + (Poly.constant(alpha + 1) - X) * lag.derivative() + n * lag
+            assert laguerre_spec(alpha).residual(lag, n) == by_hand
+            assert by_hand.is_zero()
+
+    def test_general_linear_spec(self):
+        # A = 2x + 1, B_n = 3x + 1/2 - 2n, lambda_n = -3n, on a y that solves nothing
+        spec = LinearHGSpec(2, 1, 3, Fraction(1, 2), -2)
+        y = X**3 - Fraction(2, 3) * X + 5
+        for n in range(6):
+            by_hand = (
+                (2 * X + 1) * d2(y)
+                + (3 * X + Fraction(1, 2) - 2 * n) * y.derivative()
+                - 3 * n * y
+            )
+            assert spec.residual(y, n) == by_hand
+
+    def test_perturbed_solution_is_caught(self):
+        # adding x^(n+1) leaves a residual led by gamma*x^(n+1), and gamma != 0 here
+        specs = [E_SPEC, em_spec(Fraction(1, 2)), laguerre_spec(Fraction(-3, 2))]
+        solutions = [e_explicit, lambda n: em_explicit(n, Fraction(1, 2)),
+                     lambda n: laguerre_general(n, Fraction(-3, 2))]
+        for spec, solution in zip(specs, solutions):
+            for n in range(11):
+                assert spec.residual(solution(n), n).is_zero()
+                residual = spec.residual(solution(n) + X ** (n + 1), n)
+                assert not residual.is_zero()
+                assert (residual.degree, residual.coeff(n + 1)) == (n + 1, spec.gamma)
 
 
 class TestDegeneracy:
