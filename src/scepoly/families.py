@@ -62,9 +62,17 @@ def e_explicit(n: int) -> Poly:
     """e_n(x) = x^n + sum_{l=0}^{n-1} (-1)^(l+n) (n!/l!) x^l; zero for n < 0."""
     if n < 0:
         return Poly.zero()
-    coeffs = [Fraction((-1) ** (l + n) * factorial(n), factorial(l)) for l in range(n)]
-    coeffs.append(Fraction(1))
-    return Poly(coeffs)
+    return Poly(_signed_falling(n))
+
+
+def _signed_falling(n: int) -> list[int]:
+    """(-1)^(l+n) n!/l! for l = 0..n, as a running product from l = n down."""
+    coeffs = [0] * (n + 1)
+    c = 1
+    for l in range(n, -1, -1):
+        coeffs[l] = c
+        c *= -l
+    return coeffs
 
 
 def e_recurrence(n: int) -> Poly:
@@ -129,12 +137,7 @@ def em_explicit(n: int, m) -> Poly:
     m = as_rate(m)
     if n < 0:
         return Poly.zero()
-    coeffs = [
-        (-1) ** (l + n) * m**l * Fraction(factorial(n), factorial(l))
-        for l in range(n)
-    ]
-    coeffs.append(m**n)
-    return Poly(coeffs)
+    return Poly(c * m**l for l, c in enumerate(_signed_falling(n)))
 
 
 def em_rodrigues(n: int, m) -> Poly:
@@ -170,12 +173,13 @@ def s_explicit(n: int) -> Poly:
     """
     if n < 0:
         return Poly.zero()
-    coeffs = {n: Fraction(-1)}
-    for l in range(n - 2, -1, -2):
-        # (-1)^((l+n)/2 + 1) for even n, (-1)^((l+n)/2) for odd n
-        sign = (-1) ** (((l + n) // 2) + n + 1)
-        coeffs[l] = Fraction(sign * factorial(n), factorial(l))
-    return Poly(coeffs.get(k, 0) for k in range(n + 1))
+    # The sign flips and n!/l! gains a factor (l+2)(l+1) per step down.
+    coeffs = [0] * (n + 1)
+    c = -1
+    for l in range(n, -1, -2):
+        coeffs[l] = c
+        c *= -l * (l - 1)
+    return Poly(coeffs)
 
 
 def s_from_e(n: int) -> Poly:

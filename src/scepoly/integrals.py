@@ -9,13 +9,15 @@ The three closed forms are
 Verification is dual-route: ``check_antiderivative`` lifts a closed form
 into exponential-polynomial form (sin and cos become combinations of
 e^(ix) and e^(-ix)) and differentiates exactly, while ``quad_adaptive`` is
-an independent floating-point oracle (adaptive Simpson, Richardson error
-estimate) that never touches the closed forms.
+an independent floating-point oracle (global adaptive Gauss-Kronrod 7-15
+with QUADPACK's error estimate) that never touches the closed forms.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -222,6 +224,55 @@ class QuadResult:
     evaluations: int
 
 
+# Gauss-Kronrod 7-15 on [-1, 1] (QUADPACK qk15): (node, Kronrod weight,
+# Gauss weight) by decreasing node; every second node is a Gauss node, and
+# the others carry Gauss weight 0.  The centre is both.
+_GK15 = (
+    (0.991455371120812639206854697526329, 0.022935322010529224963732008058970, 0.0),
+    (0.949107912342758524526189684047851, 0.063092092629978553290700663189204, 0.129484966168869693270611432679082),
+    (0.864864423359769072789712788640926, 0.104790010322250183839876322541518, 0.0),
+    (0.741531185599394439863864773280788, 0.140653259715525918745189590510238, 0.279705391489276667901467771423780),
+    (0.586087235467691130294144845693013, 0.169004726639267902826583426598550, 0.0),
+    (0.405845151377397166906606412076961, 0.190350578064785409913256402421014, 0.381830050505118944950369775488975),
+    (0.207784955007898467600689403773245, 0.204432940075298892414161999234649, 0.0),
+)
+_GK15_CENTRE = (0.209482141084727828012999174891714, 0.417959183673469387755102040816327)
+# QUADPACK's rounding floor: no panel claims an error below 50 ulps of the
+# integral of |f| over it.
+_ROUNDING_FLOOR = 50.0 * sys.float_info.epsilon
+
+
+def _gauss_kronrod(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float, float]:
+    """(Kronrod value, error estimate, rounding floor) of f on [lo, hi].
+
+    The estimate is QUADPACK's, resasc * min(1, (200 |K - G| / resasc)^1.5),
+    where resasc approximates the integral of |f - mean f|; it is floored at
+    50 ulps of the integral of |f|.
+    """
+    centre = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    fc = f(centre)
+    wk_centre, wg_centre = _GK15_CENTRE
+    kronrod, gauss, resabs = wk_centre * fc, wg_centre * fc, wk_centre * abs(fc)
+    pairs = []
+    for node, wk, wg in _GK15:
+        f1, f2 = f(centre - half * node), f(centre + half * node)
+        pairs.append((f1, f2))
+        kronrod += wk * (f1 + f2)
+        gauss += wg * (f1 + f2)
+        resabs += wk * (abs(f1) + abs(f2))
+    mean = 0.5 * kronrod
+    resasc = wk_centre * abs(fc - mean)
+    for (_, wk, _), (f1, f2) in zip(_GK15, pairs):
+        resasc += wk * (abs(f1 - mean) + abs(f2 - mean))
+    error = abs((kronrod - gauss) * half)
+    resasc *= half
+    if resasc and error:
+        error = resasc * min(1.0, (200.0 * error / resasc) ** 1.5)
+    floor = _ROUNDING_FLOOR * resabs * half
+    return kronrod * half, max(error, floor), floor
+
+
 def quad_adaptive(
     kind: str,
     n: int,
@@ -231,11 +282,14 @@ def quad_adaptive(
     tol: float = 1e-12,
     max_depth: int = 50,
 ) -> QuadResult:
-    """Adaptive Simpson quadrature of x^n * basis over [a, b].
+    """Global adaptive Gauss-Kronrod 7-15 quadrature of x^n * basis over [a, b].
 
-    Subdivides until the Richardson error estimate of each panel is within
-    its share of ``tol``; the returned value includes the Richardson
-    correction.  Independent of the closed forms by construction.
+    The QUADPACK QAG scheme: keep the panels in a heap and always bisect the
+    one with the largest error estimate, until the estimates sum to at most
+    ``tol`` or the worst panel's estimate is at its own rounding floor (50
+    ulps of the integral of |f| over it), below which bisection cannot help.
+    Each panel's estimate is QUADPACK's (see ``_gauss_kronrod``).
+    Independent of the closed forms by construction.
 
     Args:
         kind: one of 'sin', 'cos', 'exp'.
@@ -243,11 +297,12 @@ def quad_adaptive(
         m: exponential rate (exp only; ignored otherwise).
         a, b: integration bounds, a <= b.
         tol: absolute error budget for the whole interval.
-        max_depth: recursion limit; exceeding it with the budget unmet raises.
+        max_depth: the deepest a panel may be bisected (the whole interval is
+            depth 0); needing to bisect a panel at this depth raises.
 
     Returns:
-        QuadResult with the value, the accumulated error estimate and the
-        number of integrand evaluations.
+        QuadResult with the value, the summed error estimate and the number of
+        integrand evaluations (15 per panel).
     """
     if a > b:
         raise ValueError("quad_adaptive requires a <= b")
@@ -257,37 +312,30 @@ def quad_adaptive(
         return QuadResult(0.0, 0.0, 0)
 
     f = integrand_function(kind, n, m)
-    evaluations = 0
-
-    def feval(x: float) -> float:
-        nonlocal evaluations
-        evaluations += 1
-        return f(x)
-
-    def simpson(fa: float, fm: float, fb: float, width: float) -> float:
-        return width / 6.0 * (fa + 4.0 * fm + fb)
-
-    def recurse(lo, hi, flo, fmid, fhi, whole, budget, depth):
-        mid = 0.5 * (lo + hi)
-        flm = feval(0.5 * (lo + mid))
-        frm = feval(0.5 * (mid + hi))
-        left = simpson(flo, flm, fmid, mid - lo)
-        right = simpson(fmid, frm, fhi, hi - mid)
-        err = (left + right - whole) / 15.0
-        if abs(err) <= budget:
-            return left + right + err, abs(err)
+    value, error, floor = _gauss_kronrod(f, a, b)
+    # Entries (-error, lo, hi, value, floor, depth): heapq pops the largest
+    # error first.
+    heap = [(-error, a, b, value, floor, 0)]
+    panels = 1
+    # The running sum is recomputed each step: subtracting a bisected panel's
+    # large estimate from it would leave rounding residue above tol.
+    while math.fsum(-entry[0] for entry in heap) > tol:
+        neg_error, lo, hi, _, floor, depth = heap[0]
+        if -neg_error <= floor:
+            break
         if depth >= max_depth:
             raise ValueError(
                 f"quadrature failed to converge within depth {max_depth} "
                 f"on [{lo}, {hi}]"
             )
-        lv, le = recurse(lo, mid, flo, flm, fmid, left, budget / 2.0, depth + 1)
-        rv, re = recurse(mid, hi, fmid, frm, fhi, right, budget / 2.0, depth + 1)
-        return lv + rv, le + re
-
-    fa, fb = feval(a), feval(b)
-    mid = 0.5 * (a + b)
-    fmid = feval(mid)
-    whole = simpson(fa, fmid, fb, b - a)
-    value, est = recurse(a, b, fa, fmid, fb, whole, tol, 0)
-    return QuadResult(value, est, evaluations)
+        heapq.heappop(heap)
+        mid = 0.5 * (lo + hi)
+        for part_lo, part_hi in ((lo, mid), (mid, hi)):
+            value, error, floor = _gauss_kronrod(f, part_lo, part_hi)
+            heapq.heappush(heap, (-error, part_lo, part_hi, value, floor, depth + 1))
+            panels += 1
+    return QuadResult(
+        math.fsum(entry[3] for entry in heap),
+        math.fsum(-entry[0] for entry in heap),
+        15 * panels,
+    )

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from math import factorial
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -438,10 +439,16 @@ class TestGenfuncCommand:
 
 class TestConsoleEntry:
     def test_module_invocation(self):
+        # The child does not inherit pytest's pythonpath setting, so an
+        # uninstalled checkout needs its src/ put on the child's path.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
         proc = subprocess.run(
             [sys.executable, "-m", "scepoly.cli", "poly", "e", "--n", "2"],
             capture_output=True,
             text=True,
+            env=env,
         )
         assert proc.returncode == 0
         assert proc.stdout == "x^2 - 2x + 2\n"

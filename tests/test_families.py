@@ -99,6 +99,23 @@ class TestEFamily:
                 assert y.derivative() + y == ExpPoly.from_poly(Poly.monomial(n))
 
 
+class TestExplicitCoefficients:
+    """The running-product coefficients against the termwise n!/l! formula."""
+
+    @pytest.mark.parametrize("n", [*range(65), 500])
+    def test_match_termwise_formula(self, n):
+        def ratio(l):
+            return Fraction(factorial(n), factorial(l))
+
+        assert e_explicit(n) == Poly([(-1) ** (l + n) * ratio(l) for l in range(n)] + [1])
+        for m in (Fraction(2), Fraction(-3, 5)):
+            assert em_explicit(n, m) == Poly(
+                [(-1) ** (l + n) * m**l * ratio(l) for l in range(n)] + [m**n]
+            )
+        s_terms = {l: (-1) ** ((l + n) // 2 + n + 1) * ratio(l) for l in range(n, -1, -2)}
+        assert s_explicit(n) == Poly(s_terms.get(l, 0) for l in range(n + 1))
+
+
 class TestLaguerre:
     def test_degree_zero(self):
         assert laguerre_general(0, Fraction(7, 2)) == Poly.one()

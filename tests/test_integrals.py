@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from scepoly.cli import main
 from scepoly.families import s_explicit, shat
 from scepoly.integrals import (
     ClosedForm,
@@ -191,6 +192,40 @@ class TestQuadrature:
                         kind, n, m or 1, a, b, 1e-12 * max(1.0, abs(v))
                     )
                     assert abs(v - q.value) <= 1e-9 * max(1.0, abs(q.value))
+
+    def test_evaluation_ceiling(self):
+        # A 15-point Kronrod rule settles x sin x on [0, pi] in a few panels;
+        # a low-order rule needs thousands of evaluations at this tolerance.
+        assert quad_adaptive("sin", 1, 1, 0.0, math.pi, 1e-12).evaluations < 500
+
+    def test_converges_where_a_halving_budget_hit_rounding(self, capsys):
+        # The integral is small next to the integrand: a per-panel budget that
+        # halves at each level would fall below double-precision rounding.
+        argv = ["integrate", "--kind", "cos", "--n", "11", "--a", "-0.59", "--b", "5.0916", "--check"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out.endswith(": PASS\n")
+
+    def test_error_within_estimate(self):
+        value = definite_integral(closed_form("exp", 2, -1), -9.3, 9.6951)
+        q = quad_adaptive("exp", 2, -1, -9.3, 9.6951, 1e-12 * abs(value))
+        assert abs(q.value - value) <= q.est_error
+
+    def test_seeded_sweep_of_the_documented_domain(self):
+        # n <= 12, bounds in [-10, 10], both interval-width strata, every
+        # kind and rate the cross-check documents.
+        rng = random.Random(20261018)
+        combos = [("sin", None), ("cos", None), ("exp", 1), ("exp", 2), ("exp", -1)]
+        for _ in range(300):
+            kind, m = rng.choice(combos)
+            n = rng.randint(0, 12)
+            width = rng.uniform(*rng.choice([(0.5, 10.0), (10.0, 20.0)]))
+            a = rng.uniform(-10.0, 10.0 - width)
+            b = a + width
+            v = definite_integral(closed_form(kind, n, m), a, b)
+            q = quad_adaptive(kind, n, m or 1, a, b, 1e-12 * max(1.0, abs(v)))
+            case = (kind, n, m, a, b, v, q)
+            assert abs(v - q.value) <= 1e-9 * max(1.0, abs(q.value)), case
+            assert abs(v - q.value) <= q.est_error, case
 
 
 class TestDirectConstruction:
