@@ -10,6 +10,7 @@ Verbs: poly, integrate, verify, genfunc.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -390,10 +391,21 @@ def _attach_signed_values(argv: list[str]) -> list[str]:
     return out
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use rather than at import.
+
+    Parsing keeps no state in the parser, so every call to ``main`` can share
+    it; help text is still formatted, at the terminal's width, when asked for.
+    The ``cmd_*`` handlers are bound when it is built: code that replaces them
+    must do so before the first call to ``main``.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(_attach_signed_values(sys.argv[1:] if argv is None else argv))
+        args = _parser().parse_args(_attach_signed_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -137,7 +137,14 @@ def em_explicit(n: int, m) -> Poly:
     m = as_rate(m)
     if n < 0:
         return Poly.zero()
-    return Poly(c * m**l for l, c in enumerate(_signed_falling(n)))
+    # A running product from l = n down: term_(l-1) = term_l * (-l/m), so each
+    # step reduces against small integers only.
+    coeffs = [0] * (n + 1)
+    term = m**n
+    for l in range(n, -1, -1):
+        coeffs[l] = term
+        term *= Fraction(-l) / m
+    return Poly(coeffs)
 
 
 def em_rodrigues(n: int, m) -> Poly:

@@ -143,12 +143,21 @@ class Poly:
         return Poly(self.coeffs[k] * k for k in range(1, len(self.coeffs)))
 
     def eval(self, z) -> GaussianRational:
-        """Exact Horner evaluation at a Gaussian-rational point."""
-        z = as_gaussian(z)
-        acc = ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
+        """Exact value at a Gaussian-rational point, by Horner over the integers.
+
+        With z = (a + b*i)/q and coefficients (r_k + s_k*i)/D over one common
+        denominator D, the sum of (r_k + s_k*i)(a + b*i)^k q^(d-k) is
+        accumulated in ints and divided by D*q^d once, at the end.
+        """
+        a, b, q = _int_parts(z)
+        re, im, den = _int_coeffs(self.coeffs)
+        acc_re = acc_im = 0
+        scale = 1  # q^(d-k) for the coefficient of x^k
+        for r, s in zip(reversed(re), reversed(im)):
+            acc_re, acc_im = acc_re * a - acc_im * b + r * scale, acc_re * b + acc_im * a + s * scale
+            scale *= q
+        den *= q ** max(self.degree, 0)
+        return GaussianRational(Fraction(acc_re, den), Fraction(acc_im, den))
 
     def eval_float(self, x: float) -> float:
         """Float Horner evaluation; coefficients are converted at the last step."""
@@ -236,6 +245,14 @@ def _int_parts(value) -> tuple[int, int, int]:
     return c.re.numerator * (q // c.re.denominator), c.im.numerator * (q // c.im.denominator), q
 
 
+def _int_coeffs(coeffs) -> tuple[list[int], list[int], int]:
+    """(re, im, den) with coeffs[k] = (re[k] + im[k]*i)/den and den > 0 the least common denominator."""
+    den = lcm(*(c.re.denominator for c in coeffs), *(c.im.denominator for c in coeffs))
+    re = [c.re.numerator * (den // c.re.denominator) for c in coeffs]
+    im = [c.im.numerator * (den // c.im.denominator) for c in coeffs]
+    return re, im, den
+
+
 def _laurent(lo: int, re, im, den: int) -> "LaurentPoly":
     p = object.__new__(LaurentPoly)
     for name, value in zip(LaurentPoly.__slots__, _normalise(lo, re, im, den)):
@@ -270,11 +287,7 @@ class LaurentPoly:
 
     @classmethod
     def from_poly(cls, p: Poly) -> "LaurentPoly":
-        cs = p.coeffs
-        den = lcm(*(c.re.denominator for c in cs), *(c.im.denominator for c in cs))
-        re = [c.re.numerator * (den // c.re.denominator) for c in cs]
-        im = [c.im.numerator * (den // c.im.denominator) for c in cs]
-        return _laurent(0, re, im, den)
+        return _laurent(0, *_int_coeffs(p.coeffs))
 
     def _coeffs(self) -> list[GaussianRational]:
         """Dense coefficients of x^lo, x^(lo+1), ..."""

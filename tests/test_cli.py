@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from math import factorial
@@ -10,10 +11,12 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from scepoly import cli
 from scepoly.cli import (
+    build_parser,
     main,
     poly_from_json,
     poly_to_json,
@@ -468,6 +471,8 @@ RATES = st.integers(-20, 20).map(str) | st.builds(
     "{}/{}".format, st.integers(-20, 20), st.integers(-20, 20)
 )
 BOUNDS = st.floats(-1e3, 1e3).map(repr) | st.sampled_from(["inf", "-inf", "nan", "1e308", "-1e308"])
+# --check runs the quadrature oracle, whose cost grows with the interval.
+CHECK_BOUNDS = st.floats(-50, 50).map(repr)
 FORMATS = st.sampled_from(["text", "latex", "json", "csv"])
 VERBS = {
     "poly": {"--n": INDEXES, "--m": RATES, "--format": FORMATS},
@@ -487,17 +492,33 @@ VERBS = {
 
 @st.composite
 def cli_argvs(draw):
-    """A verb and a random subset of its flags, in random order."""
+    """A verb and a random subset of its flags, in random order; now and then --check or --help."""
     verb = draw(st.sampled_from(sorted(VERBS)))
     head = [verb]
     if verb == "poly":
         head.append(draw(st.sampled_from(["e", "s", "c", "shat", "chat", "em"])))
+    flags = VERBS[verb]
+    switches = []
+    if verb == "integrate" and draw(st.booleans()):
+        flags = {**flags, "--a": CHECK_BOUNDS, "--b": CHECK_BOUNDS}
+        switches.append(["--check"])
+    if draw(st.sampled_from([False] * 7 + [True])):
+        switches.append(["--help"])
     pairs = [
         [flag, draw(values)]
-        for flag, values in VERBS[verb].items()
+        for flag, values in flags.items()
         if draw(st.sampled_from([True, True, True, False]))
     ]
-    return head + [token for pair in draw(st.permutations(pairs)) for token in pair]
+    return head + [token for pair in draw(st.permutations(pairs + switches)) for token in pair]
+
+
+def run_quiet(argv):
+    """(exit code, stdout, stderr) of main(argv) with indexes capped at 6."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {"SCE_MAX_N": "6"}):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 class TestFuzzedArgv:
@@ -506,9 +527,91 @@ class TestFuzzedArgv:
     @given(cli_argvs())
     @settings(deadline=None, max_examples=150)
     def test_exit_code_contract(self, argv):
-        out, err = io.StringIO(), io.StringIO()
-        with mock.patch.dict(os.environ, {"SCE_MAX_N": "6"}):
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(argv)
-        assert code in (0, 1, 2), (argv, code, err.getvalue())
-        assert "Traceback" not in err.getvalue()
+        code, _, err = run_quiet(argv)
+        assert code in (0, 1, 2), (argv, code, err)
+        assert "Traceback" not in err
+
+    @given(
+        kind=st.sampled_from(["sin", "cos", "exp"]), n=INDEXES, m=st.none() | RATES,
+        a=CHECK_BOUNDS, b=CHECK_BOUNDS,
+    )
+    @settings(deadline=None, max_examples=100)
+    def test_check_exit_code_contract(self, kind, n, m, a, b):
+        # Every required flag is present, so most of these reach the oracle.
+        rate = [] if m is None else ["--m", m]
+        argv = ["integrate", "--kind", kind, "--n", n, *rate, "--a", a, "--b", b, "--check"]
+        code, _, err = run_quiet(argv)
+        assert code in (0, 1, 2), (argv, code, err)
+        assert "Traceback" not in err
+
+
+class TestParserReuse:
+    """main builds one parser per process, and reusing it changes no output."""
+
+    def test_main_builds_the_parser_once(self):
+        cli._parser.cache_clear()
+        try:
+            with mock.patch.object(cli, "build_parser", wraps=build_parser) as spy:
+                for argv in (["poly", "e", "--n", "2"], ["poly", "q"], ["verify", "--help"]) * 3:
+                    run_quiet(argv)
+            assert spy.call_count == 1
+        finally:
+            cli._parser.cache_clear()
+
+    def test_build_parser_returns_a_new_parser(self):
+        assert build_parser() is not build_parser()
+
+    @given(argv=cli_argvs(), other=cli_argvs(), failing_check=st.booleans())
+    @settings(deadline=None, max_examples=60)
+    @example(argv=["--help"], other=["poly", "e", "--n", "1"], failing_check=False)
+    @example(argv=["integrate", "--help"], other=["--help"], failing_check=False)
+    @example(argv=["poly", "q", "--n", "2"], other=["poly"], failing_check=False)
+    @example(argv=[], other=["verify", "--suite", "bogus"], failing_check=False)
+    @example(
+        argv=["integrate", "--kind", "sin", "--n", "1", "--a", "0", "--b", "1", "--check"],
+        other=["poly", "e", "--n", "2"],
+        failing_check=True,
+    )
+    def test_warm_parser_matches_cold(self, argv, other, failing_check):
+        # failing_check makes every --check print FAIL and exit 1.
+        tol = -1.0 if failing_check else cli.RELATIVE_CHECK_TOL
+        with mock.patch.object(cli, "RELATIVE_CHECK_TOL", tol):
+            cli._parser.cache_clear()
+            cold = run_quiet(argv)
+            run_quiet(other)
+            assert run_quiet(argv) == cold
+        if failing_check and "--check" in argv and cold[1].startswith("integral"):
+            assert cold[0] == 1
+
+
+def check_argvs(seed=8, count=20):
+    """Seeded integrate --check requests over the documented domain: n <= 12, bounds in [-10, 10]."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        kind = rng.choice(["sin", "cos", "exp"])
+        argv = ["integrate", "--kind", kind, "--n", str(rng.randint(0, 12))]
+        if kind == "exp":
+            argv.append("--m=" + rng.choice(["1", "2", "-1", "1/2", "-5/3"]))
+        argv += ["--a=" + repr(rng.uniform(-10, 10)), "--b=" + repr(rng.uniform(-10, 10)), "--check"]
+        out.append(argv)
+    return out
+
+
+# sha256 prefixes of each check_argvs() request's stdout: any printed digit
+# of the integral, the oracle or the discrepancy that moves shows here.
+CHECK_DIGESTS = [
+    "5ece613ec56cc88a", "e7ba5b25ce01cf1f", "c32ea5cf27cd7fae", "b9658e14d74175bc",
+    "ab5b7d774e59a456", "4b34246cfffe1d95", "7681f408f8ad2da9", "6552776fb6c9000b",
+    "007c0e7759fcc738", "59f88b22d6c471b2", "8b591f50ef1f783e", "3cc3380b78d64184",
+    "777c58f6f6b6be34", "b911d4b9b26175a8", "2052c9072f25cc92", "f8e990f59d59aa2e",
+    "12744ca59f547d06", "02458e5e082f5d9c", "af177da68241d05c", "0f6f8ae7ed4401d0",
+]
+
+
+@pytest.mark.parametrize("argv,digest", zip(check_argvs(), CHECK_DIGESTS))
+def test_check_output_is_pinned(capsys, argv, digest):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.endswith(": PASS\n")
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest, out

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from scepoly.poly import ExpPoly, LaurentPoly, Poly
-from scepoly.rational import GaussianRational, I
+from scepoly.rational import GaussianRational, I, as_gaussian
 
 X = Poly.x()
 
@@ -228,3 +228,58 @@ class TestIntegerLayerAgainstReference:
         assert f == ExpPoly.of(GaussianRational(*rate), _from_ref(expected))
         if not lp.is_zero():
             assert _agrees(f.sole_term()[1], expected)
+
+
+# Reference for Poly.eval: Horner over (real, imaginary) pairs of plain
+# Fractions, one Fraction operation at a time.
+def _ref_eval(coeffs, z):
+    zr, zi = Fraction(z.re), Fraction(z.im)
+    ar = ai = Fraction(0)
+    for c in reversed(coeffs):
+        ar, ai = ar * zr - ai * zi + c.re, ar * zi + ai * zr + c.im
+    return ar, ai
+
+
+wide_rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=10**6)
+real_gaussians = wide_rationals.map(GaussianRational)
+wide_gaussians = st.builds(GaussianRational, wide_rationals, wide_rationals) | real_gaussians
+# Floats as the exact binary rationals the definite integral evaluates at.
+BINARY_POINTS = [Fraction(x) for x in (2.0**-1074, 1e-300, 1e300, -2.0**-1074, -1e-300, -1e300, -0.1, 9.6951)]
+
+
+class TestEvalAgainstReference:
+    @given(coeffs=st.lists(wide_gaussians, max_size=12), z=wide_gaussians)
+    def test_gaussian(self, coeffs, z):
+        value = Poly(coeffs).eval(z)
+        assert (value.re, value.im) == _ref_eval(Poly(coeffs).coeffs, z)
+
+    @given(coeffs=st.lists(real_gaussians, max_size=12), z=wide_rationals)
+    def test_real(self, coeffs, z):
+        value = Poly(coeffs).eval(z)
+        assert (value.re, value.im) == _ref_eval(Poly(coeffs).coeffs, GaussianRational(z))
+        assert value.im == 0
+
+    @pytest.mark.parametrize("z", [0, Fraction(0), GaussianRational(0), -1, Fraction(-7, 3), -I, *BINARY_POINTS])
+    @pytest.mark.parametrize(
+        "coeffs",
+        [[], [0], [5], [Fraction(-2, 3)], [GaussianRational(1, -1)], [1, -3, Fraction(1, 2), 0, 7],
+         [GaussianRational(Fraction(1, 3), 2), 0, -I, Fraction(5, 7)]],
+    )
+    def test_edge_cases(self, coeffs, z):
+        p = Poly(coeffs)
+        value = p.eval(z)
+        assert (value.re, value.im) == _ref_eval(p.coeffs, as_gaussian(z))
+
+    def test_zero_polynomial_and_constants(self):
+        assert Poly.zero().eval(Fraction(1e300)) == 0
+        assert Poly.constant(Fraction(-5, 9)).eval(Fraction(2.0**-1074)) == Fraction(-5, 9)
+        assert (X**3).eval(0) == 0
+
+    def test_tiny_point_keeps_every_bit(self):
+        tiny = Fraction(2.0**-1074)
+        assert (X**2 + X).eval(tiny) == GaussianRational(tiny**2 + tiny)
+        assert (X**2 + X).eval(tiny).re.denominator == 2**2148
+
+    def test_refuses_floats(self):
+        with pytest.raises(TypeError):
+            X.eval(0.5)
