@@ -1,110 +1,19 @@
 """scepoly: exact closed-form antiderivatives of x^n sin x, x^n cos x and
 x^n e^(mx), the polynomial families they are made of, their generating
-functions, and the degenerate-weight generating-function formula."""
+functions, and the degenerate-weight generating-function formula.  The
+public names are those of each library module's ``__all__``."""
 
-from .families import (
-    antideriv_poly_exp,
-    c_from_e,
-    c_from_s,
-    chat,
-    check_relation_group,
-    e_explicit,
-    e_laguerre,
-    e_recurrence,
-    e_rodrigues,
-    em_explicit,
-    em_rodrigues,
-    family_poly,
-    laguerre_general,
-    rodrigues_part,
-    s_explicit,
-    s_from_e,
-    shat,
-)
-from .genfunc import (
-    E_SPEC,
-    FormalSeries,
-    LinearHGSpec,
-    WeightForm,
-    degenerate_genfunc,
-    em_spec,
-    laguerre_spec,
-    nu_degeneracy_check,
-    rho_linear,
-    series_C,
-    series_E,
-    series_Em,
-    series_S,
-    series_connection_check,
-    series_exp_xt,
-    sigma_linear,
-)
-from .integrals import (
-    ClosedForm,
-    QuadResult,
-    check_antiderivative,
-    closed_form,
-    definite_integral,
-    eval_closed_form,
-    quad_adaptive,
-    s_rodrigues,
-)
-from .poly import ExpPoly, LaurentPoly, Poly
-from .rational import GaussianRational, I, binomial_general, factorial
-from .report import CheckEntry, CheckReport
+from . import families, genfunc, integrals, poly, rational, report, suites
+from .families import *  # noqa: F403
+from .genfunc import *  # noqa: F403
+from .integrals import *  # noqa: F403
+from .poly import *  # noqa: F403
+from .rational import *  # noqa: F403
+from .report import *  # noqa: F403
+from .suites import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Poly",
-    "LaurentPoly",
-    "ExpPoly",
-    "GaussianRational",
-    "I",
-    "factorial",
-    "binomial_general",
-    "e_explicit",
-    "e_recurrence",
-    "e_rodrigues",
-    "rodrigues_part",
-    "e_laguerre",
-    "laguerre_general",
-    "em_explicit",
-    "em_rodrigues",
-    "antideriv_poly_exp",
-    "s_explicit",
-    "s_from_e",
-    "c_from_s",
-    "c_from_e",
-    "shat",
-    "chat",
-    "family_poly",
-    "check_relation_group",
-    "FormalSeries",
-    "LinearHGSpec",
-    "WeightForm",
-    "series_exp_xt",
-    "series_E",
-    "series_Em",
-    "series_S",
-    "series_C",
-    "series_connection_check",
-    "rho_linear",
-    "sigma_linear",
-    "nu_degeneracy_check",
-    "degenerate_genfunc",
-    "E_SPEC",
-    "em_spec",
-    "laguerre_spec",
-    "ClosedForm",
-    "QuadResult",
-    "closed_form",
-    "check_antiderivative",
-    "s_rodrigues",
-    "eval_closed_form",
-    "definite_integral",
-    "quad_adaptive",
-    "CheckEntry",
-    "CheckReport",
-    "__version__",
-]
+    name for module in (families, genfunc, integrals, poly, rational, report, suites) for name in module.__all__
+] + ["__version__"]

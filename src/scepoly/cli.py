@@ -41,10 +41,6 @@ __all__ = [
 RELATIVE_CHECK_TOL = 1e-9
 
 
-class UsageError(Exception):
-    pass
-
-
 # ---------------------------------------------------------------------------
 # Rendering
 # ---------------------------------------------------------------------------
@@ -225,15 +221,15 @@ def _index_cap() -> int:
     try:
         return int(raw)
     except ValueError:
-        raise UsageError(f"SCE_MAX_N must be an integer, got {raw!r}")
+        raise ValueError(f"SCE_MAX_N must be an integer, got {raw!r}")
 
 
 def _check_index(value: int, name: str) -> int:
     if value < 0:
-        raise UsageError(f"{name} must be >= 0")
+        raise ValueError(f"{name} must be >= 0")
     cap = _index_cap()
     if value > cap:
-        raise UsageError(f"{name}={value} exceeds SCE_MAX_N={cap}")
+        raise ValueError(f"{name}={value} exceeds SCE_MAX_N={cap}")
     return value
 
 
@@ -241,9 +237,9 @@ def _parse_rate(text: str) -> Fraction:
     try:
         m = Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise UsageError(f"malformed rational {text!r} (use integer or p/q)")
+        raise ValueError(f"malformed rational {text!r} (use integer or p/q)")
     if m == 0:
-        raise UsageError("rate m must be nonzero")
+        raise ValueError("rate m must be nonzero")
     return m
 
 
@@ -251,10 +247,10 @@ def _family_rate(args) -> Fraction | None:
     """The rate --m: required for family 'em', refused for every other family."""
     if args.family == "em":
         if args.m is None:
-            raise UsageError("family 'em' requires --m")
+            raise ValueError("family 'em' requires --m")
         return _parse_rate(args.m)
     if args.m is not None:
-        raise UsageError("--m applies only to family 'em'")
+        raise ValueError("--m applies only to family 'em'")
     return None
 
 
@@ -273,17 +269,17 @@ def cmd_poly(args) -> int:
 def cmd_integrate(args) -> int:
     n = _check_index(args.n, "n")
     if args.m is not None and args.kind != "exp":
-        raise UsageError("--m applies only to kind 'exp'")
+        raise ValueError("--m applies only to kind 'exp'")
     m = _parse_rate(args.m) if args.m is not None else None
     cf = integrals.closed_form(args.kind, n, m)
     if args.a is None and args.b is None:
         _print_exact(render_closed_form_text, cf)
         return 0
     if args.a is None or args.b is None:
-        raise UsageError("provide both --a and --b, or neither")
+        raise ValueError("provide both --a and --b, or neither")
     for name, bound in (("--a", args.a), ("--b", args.b)):
         if not math.isfinite(bound):
-            raise UsageError(f"{name} must be finite, got {bound}")
+            raise ValueError(f"{name} must be finite, got {bound}")
     value = integrals.definite_integral(cf, args.a, args.b)
     if not args.check:
         print(f"{value:.17g}")
@@ -410,7 +406,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return args.func(args)
-    except (UsageError, ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .poly import ExpPoly, LaurentPoly, Poly
+from .poly import LaurentPoly, Poly
 from .rational import I, as_rate, as_rational
 from .report import CheckReport
 
@@ -88,12 +88,14 @@ def e_recurrence(n: int) -> Poly:
 def rodrigues_part(rate, n: int) -> LaurentPoly:
     """x^(n+1) e^(-rate x) d^n/dx^n (x^(-1) e^(rate x)), by n exact derivatives.
 
-    Each derivative maps p(x) e^(rate x) to (p' + rate*p) e^(rate x), so the
-    n-th derivative is one term at the same rate; its part times x^(n+1) is
-    returned.  Callers convert with ``to_poly``, which raises on a negative
-    exponent left over (an implementation bug).
+    Each derivative maps p(x) e^(rate x) to (p' + rate*p) e^(rate x), which
+    is ``LaurentPoly.derivative(rate)`` on the part p; the part after n steps
+    times x^(n+1) is returned.  Callers convert with ``to_poly``, which
+    raises on a negative exponent left over (an implementation bug).
     """
-    _, part = ExpPoly.of(rate, LaurentPoly({-1: 1})).nth_derivative(n).sole_term()
+    part = LaurentPoly({-1: 1})
+    for _ in range(n):
+        part = part.derivative(rate)
     return part.shift(n + 1)
 
 

@@ -167,42 +167,73 @@ def antiderivative_recurrence_report(n_max: int) -> CheckReport:
 # Floating-point evaluation and the quadrature oracle
 # ---------------------------------------------------------------------------
 
+# Start at 40 digits, enough for every sampled request inside the documented
+# domain.  Accept a result once it keeps 20 significant digits (67 bits)
+# above its noise, with 8 bits of slack for the roundings in one value, or
+# once that noise is below 2^-1074, the smallest double.
+_START_PREC = mpmath.libmp.dps_to_prec(40)
+_KEEP_BITS, _SLACK_BITS, _TINY_MAG = 67, 8, -1074
+
+
+def _mpq(q: Fraction):
+    return mpmath.mpf(q.numerator) / q.denominator
+
+
+def _value_mp(cf: ClosedForm, x: float, values: list[Fraction]):
+    """F(x) from the exact values of its polynomial parts, and the size of its noise
+    (x is exact, but exp turns the absolute error of the rounded m*x into relative error)."""
+    if cf.kind == "exp":
+        exponent = _mpq(cf.m) * x
+        term = _mpq(values[0]) * mpmath.exp(exponent)
+        return term, abs(term) * (1 + abs(exponent))
+    c, s = _mpq(values[0]) * mpmath.cos(x), _mpq(values[1]) * mpmath.sin(x)
+    return c + s, abs(c) + abs(s)
+
+
+def _closed_form_float(cf: ClosedForm, points, what: str) -> float:
+    """The double nearest F(x) for points [x], or F(b) - F(a) for [b, a].
+
+    Polynomial values are exact rationals (a double is an exact binary
+    rational); the rest is rounded at a working precision that rises with
+    the cancellation, from the magnitudes of the terms against the result.
+    """
+    parts = (cf.exp_part,) if cf.kind == "exp" else (cf.cos_part, cf.sin_part)
+    exact = [(x, [p.eval(Fraction(x)).re for p in parts]) for x in points]
+    prec = _START_PREC
+    while True:
+        with mpmath.workprec(prec):
+            at = [_value_mp(cf, x, values) for x, values in exact]
+            total = at[0][0] - at[1][0] if len(at) == 2 else at[0][0]
+            scale = sum(noise for _, noise in at)
+            noise_mag = mpmath.mag(scale) - prec + _SLACK_BITS
+            kept = mpmath.mag(total) - noise_mag
+            if kept >= _KEEP_BITS or noise_mag < _TINY_MAG:
+                break
+            # Raise by the bits missing (double while all noise), up to the noise floor.
+            prec = min(prec + _KEEP_BITS - kept + _SLACK_BITS if kept > 0 else 2 * prec,
+                       prec + noise_mag - _TINY_MAG + 1)
+    out = float(total)
+    if math.isinf(out):
+        raise OverflowError(f"{what} overflows double precision")
+    return out
+
+
 def eval_closed_form(cf: ClosedForm, x: float) -> float:
-    """Evaluate the antiderivative at a float point (Horner + host sin/cos/exp)."""
-    if cf.kind == "exp":
-        return cf.exp_part.eval_float(x) * math.exp(float(cf.m) * x)
-    return cf.cos_part.eval_float(x) * math.cos(x) + cf.sin_part.eval_float(x) * math.sin(x)
-
-
-def _eval_mp(cf: ClosedForm, x: float):
-    """Closed form at x in extended precision (exact polynomial values)."""
-    point = Fraction(x)  # floats are exact binary rationals
-
-    def poly_mp(p: Poly):
-        v = p.eval(point).re
-        return mpmath.mpf(v.numerator) / v.denominator
-
-    if cf.kind == "exp":
-        rate = mpmath.mpf(cf.m.numerator) / cf.m.denominator
-        return poly_mp(cf.exp_part) * mpmath.exp(rate * x)
-    return poly_mp(cf.cos_part) * mpmath.cos(x) + poly_mp(cf.sin_part) * mpmath.sin(x)
+    """The antiderivative at a float point, rounded once (see ``definite_integral``)."""
+    return _closed_form_float(cf, [x], "closed form value")
 
 
 def definite_integral(cf: ClosedForm, a: float, b: float) -> float:
-    """Newton-Leibniz on the closed form.
+    """Newton-Leibniz on the closed form, F(b) - F(a), rounded once.
 
-    The endpoint difference is formed in extended precision: the antiderivative
-    oscillates with amplitude ~n!, so a double-precision difference would lose
-    the short-interval cases to cancellation long before the quadrature oracle
-    does.  Polynomial values are exact rationals; only sin/cos/exp are
-    approximated, far below double precision, and the result is rounded once.
+    The antiderivative oscillates with amplitude ~n!, so a double-precision
+    difference would lose short intervals to cancellation long before the
+    quadrature oracle does (see ``_closed_form_float``).  An empty interval
+    is exactly 0, which no precision would show.
     """
-    with mpmath.workdps(40):
-        value = _eval_mp(cf, b) - _eval_mp(cf, a)
-        out = float(value)
-    if math.isinf(out):
-        raise OverflowError("definite integral overflows double precision")
-    return out
+    if a == b:
+        return 0.0
+    return _closed_form_float(cf, [b, a], "definite integral")
 
 
 def integrand_function(kind: str, n: int, m=1) -> Callable[[float], float]:

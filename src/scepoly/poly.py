@@ -412,11 +412,6 @@ class ExpPoly:
         """Single term part(x)*e^(rate*x)."""
         return cls([(rate, part)])
 
-    @classmethod
-    def from_poly(cls, p: Poly) -> "ExpPoly":
-        """A plain polynomial, i.e. a term with rate zero."""
-        return cls([(ZERO, p)])
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -446,12 +441,6 @@ class ExpPoly:
         for _ in range(n):
             f = f.derivative()
         return f
-
-    def sole_term(self) -> tuple[GaussianRational, LaurentPoly]:
-        """The unique (rate, part) pair; raises on a mixed-rate sum."""
-        if len(self.terms) != 1:
-            raise ValueError(f"expected a single exponential rate, got {len(self.terms)}")
-        return next(iter(self.terms.items()))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExpPoly):

@@ -1,5 +1,5 @@
-"""Exact scalar arithmetic: rationals, Gaussian rationals, and the
-combinatorial helpers the rest of the package is built on.
+"""Exact scalar arithmetic: rationals and Gaussian rationals, the scalars the
+rest of the package is built on.
 
 Rationals are ``fractions.Fraction`` (arbitrary precision, positive
 denominator, always reduced, zero is 0/1).  Gaussian rationals a + b*i with
@@ -14,15 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
 
 __all__ = [
     "GaussianRational",
     "as_rational",
     "as_rate",
     "as_gaussian",
-    "factorial",
-    "binomial_general",
     "I",
     "ZERO",
     "ONE",
@@ -44,22 +41,6 @@ def as_rate(value) -> Fraction:
     if m == 0:
         raise ValueError("rate must be nonzero")
     return m
-
-
-def binomial_general(a, j: int) -> Fraction:
-    """Generalized binomial coefficient C(a, j) = a(a-1)...(a-j+1) / j!.
-
-    ``a`` may be any exact rational; ``j`` must be a natural number.  This is
-    what evaluating associated Laguerre polynomials at rational (including
-    negative) upper index needs.
-    """
-    if j < 0:
-        raise ValueError("binomial_general requires j >= 0")
-    a = as_rational(a)
-    num = Fraction(1)
-    for i in range(j):
-        num *= a - i
-    return num / factorial(j)
 
 
 @dataclass(frozen=True)

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+__all__ = ["CheckEntry", "CheckReport"]
+
 
 @dataclass(frozen=True)
 class CheckEntry:

@@ -93,10 +93,10 @@ class TestEFamily:
         # y = e_n + C e^(-x) satisfies y' + y = x^n for any constant C
         for n in (0, 3, 7):
             for c in (Fraction(0), Fraction(1), Fraction(-2, 3)):
-                y = ExpPoly.from_poly(e_explicit(n)) + ExpPoly.of(
+                y = ExpPoly.of(0, e_explicit(n)) + ExpPoly.of(
                     -1, Poly.constant(c)
                 )
-                assert y.derivative() + y == ExpPoly.from_poly(Poly.monomial(n))
+                assert y.derivative() + y == ExpPoly.of(0, Poly.monomial(n))
 
 
 class TestExplicitCoefficients:

@@ -3,6 +3,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from scepoly.cli import main
@@ -138,6 +139,45 @@ class TestFloatEvaluation:
             definite_integral(closed_form("exp", 0, 1), 0.0, 1e6)
 
 
+def _reference_integral(kind, n, m, a, b):
+    """mpmath.quad of x^n * basis over [a, b] at 70 digits, independent of the closed forms.
+
+    quad's tolerance is absolute, so the integrand is mapped to [0, 1] and
+    divided by its size at the endpoints, which makes it relative.
+    """
+    with mpmath.workdps(70):
+        basis = {"sin": mpmath.sin, "cos": mpmath.cos, "exp": lambda x: mpmath.exp(m * x)}[kind]
+        a, b = mpmath.mpf(a), mpmath.mpf(b)
+        f = lambda x: x**n * basis(x)
+        size = max(abs(f(a)), abs(f(b)))
+        return (b - a) * size * mpmath.quad(lambda u: f(a + (b - a) * u) / size, [0, 1])
+
+
+class TestPrecisionFromMagnitudes:
+    """Endpoint values ~n! that cancel to a small difference (40 digits printed 0 here)."""
+
+    @pytest.mark.parametrize(
+        "kind, n, m, a, b",
+        [("exp", 40, -1, 0.0, 1.0), ("sin", 30, None, 0.0, 0.5), ("sin", 64, None, 0.0, 0.001)],
+    )
+    def test_cancelling_endpoints_keep_double_accuracy(self, kind, n, m, a, b, capsys):
+        argv = ["integrate", "--kind", kind, "--n", str(n), "--a", str(a), "--b", str(b)]
+        assert main(argv + (["--m", str(m)] if m is not None else [])) == 0
+        printed = float(capsys.readouterr().out)
+        reference = _reference_integral(kind, n, m, a, b)
+        assert abs(printed - reference) <= 1e-15 * abs(reference)
+
+    def test_closed_form_value_at_high_degree(self):
+        # F(3) = F(0) + the integral over [0, 3]; F(0) is the constant term of chat_23.
+        cf = closed_form("cos", 24)
+        reference = cf.cos_part.coeff(0).re + _reference_integral("cos", 24, None, 0.0, 3.0)
+        assert abs(eval_closed_form(cf, 3.0) - reference) <= 1e-12 * abs(reference)
+
+    def test_true_zero_stays_zero(self):
+        # x cos x is odd, so its integral over [-1, 1] is 0.
+        assert definite_integral(closed_form("cos", 1), -1.0, 1.0) == 0.0
+
+
 class TestDefiniteIntegral:
     def test_x_sin_x_over_zero_pi(self):
         value = definite_integral(closed_form("sin", 1), 0.0, math.pi)
@@ -145,6 +185,8 @@ class TestDefiniteIntegral:
 
     def test_empty_interval(self):
         assert definite_integral(closed_form("cos", 7), 2.5, 2.5) == 0.0
+        # e^(1e300) has no double, and no working precision would resolve it.
+        assert definite_integral(closed_form("exp", 3, 1), 1e300, 1e300) == 0.0
 
     def test_x_exp_x_over_unit_interval(self):
         value = definite_integral(closed_form("exp", 1, 1), 0.0, 1.0)

@@ -130,8 +130,8 @@ class TestExpPoly:
 
     def test_zero_rate_degenerates_to_poly_derivative(self):
         p = X**3 - X
-        f = ExpPoly.from_poly(p)
-        assert f.derivative() == ExpPoly.from_poly(p.derivative())
+        f = ExpPoly.of(0, p)
+        assert f.derivative() == ExpPoly.of(0, p.derivative())
 
     def test_second_weight_step(self):
         f = ExpPoly.of(1, LaurentPoly({-1: 1}))
@@ -142,15 +142,9 @@ class TestExpPoly:
         f = ExpPoly.of(2, LaurentPoly({3: 1}))
         assert f.nth_derivative(0) == f
 
-    def test_sole_term_rejects_mixed_rates(self):
-        f = ExpPoly([(1, LaurentPoly({0: 1})), (-1, LaurentPoly({0: 1}))])
-        with pytest.raises(ValueError):
-            f.sole_term()
-
     def test_distinct_rates_merge_on_construction(self):
         f = ExpPoly([(1, LaurentPoly({0: 1})), (1, LaurentPoly({0: 2}))])
-        rate, part = f.sole_term()
-        assert part == LaurentPoly({0: 3})
+        assert f.terms == {GaussianRational(1): LaurentPoly({0: 3})}
 
     @given(f=exp_polys, g=exp_polys)
     def test_derivative_is_linear(self, f, g):
@@ -227,7 +221,8 @@ class TestIntegerLayerAgainstReference:
         f = ExpPoly.of(GaussianRational(*rate), lp).derivative()
         assert f == ExpPoly.of(GaussianRational(*rate), _from_ref(expected))
         if not lp.is_zero():
-            assert _agrees(f.sole_term()[1], expected)
+            (part,) = f.terms.values()
+            assert _agrees(part, expected)
 
 
 # Reference for Poly.eval: Horner over (real, imaginary) pairs of plain

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given
@@ -9,8 +10,6 @@ from scepoly.rational import (
     I,
     ONE,
     as_gaussian,
-    binomial_general,
-    factorial,
 )
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=16)
@@ -47,37 +46,6 @@ class TestFactorial:
         assert factorial(0) == 1
         assert factorial(5) == 120
         assert factorial(12) == 479001600
-
-    def test_recursion(self):
-        for n in range(1, 31):
-            assert factorial(n) == n * factorial(n - 1)
-
-
-class TestBinomialGeneral:
-    def test_minus_one_cubed(self):
-        assert binomial_general(-1, 3) == -1
-
-    def test_empty_product(self):
-        assert binomial_general(Fraction(7, 3), 0) == 1
-
-    def test_rational_argument(self):
-        # direct product (5/2)(3/2)/2!
-        assert binomial_general(Fraction(5, 2), 2) == Fraction(15, 8)
-
-    def test_minus_one_alternates(self):
-        for j in range(65):
-            assert binomial_general(-1, j) == (-1) ** j
-
-    def test_rejects_negative_j(self):
-        with pytest.raises(ValueError):
-            binomial_general(Fraction(1), -1)
-
-    def test_integer_case_matches_math(self):
-        from math import comb
-
-        for n in range(10):
-            for j in range(n + 1):
-                assert binomial_general(n, j) == comb(n, j)
 
 
 class TestGaussianRational:
