@@ -67,6 +67,9 @@ class FormalSeries:
     def __setattr__(self, name, value):
         raise AttributeError("FormalSeries is immutable")
 
+    def __reduce__(self):
+        return FormalSeries, (self.coeffs,)
+
     @classmethod
     def zero(cls, order: int) -> "FormalSeries":
         return cls([Poly.zero()] * (order + 1))

@@ -4,6 +4,8 @@ Three representations, chosen to match how each is accessed:
 
 * ``Poly`` -- dense coefficient tuple over Gaussian rationals, ascending
   degree, no trailing zeros (the zero polynomial is the empty tuple).
+  Its arithmetic goes through the ``GaussianRational`` operators, whose
+  real fast paths cover the real coefficients of every family.
 * ``LaurentPoly`` -- integer numerator tuples (real and imaginary) over one
   common denominator, starting at an integer exponent offset that may be
   negative: iterated derivatives of x^(-1)*e^(rx) push exponents down to
@@ -15,7 +17,8 @@ Three representations, chosen to match how each is accessed:
   forms exactly, with sin/cos lifted to complex exponentials.
 
 No polynomial division lives here; nothing downstream needs it.
-All values are immutable and operations are pure.
+All values are immutable and operations are pure; they copy and pickle
+by their constructors (``__reduce__``).
 """
 
 from __future__ import annotations
@@ -44,6 +47,9 @@ class Poly:
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
+
+    def __reduce__(self):
+        return Poly, (self.coeffs,)
 
     # -- constructors -----------------------------------------------------
 
@@ -285,6 +291,9 @@ class LaurentPoly:
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
 
+    def __reduce__(self):
+        return _laurent, (self.lo, self.re, self.im, self.den)
+
     @classmethod
     def from_poly(cls, p: Poly) -> "LaurentPoly":
         return _laurent(0, *_int_coeffs(p.coeffs))
@@ -406,6 +415,9 @@ class ExpPoly:
 
     def __setattr__(self, name, value):
         raise AttributeError("ExpPoly is immutable")
+
+    def __reduce__(self):
+        return ExpPoly, (self.terms,)
 
     @classmethod
     def of(cls, rate, part) -> "ExpPoly":

@@ -6,13 +6,19 @@ denominator, always reduced, zero is 0/1).  Gaussian rationals a + b*i with
 rational a, b carry the complex-argument identities between the polynomial
 families exactly; they form the field Q(i).
 
+``GaussianRational`` is a slotted value holding two Fractions.  Only the
+public constructor coerces its arguments; arithmetic builds its results from
+Fractions directly.  Almost every scalar the families produce is real, so
+``+``, ``-``, ``*``, ``/`` and ``**`` on two real values do the one Fraction
+operation a rational would, and the full Q(i) formulas run only when an
+imaginary part is nonzero.  Both paths give the same exact values.
+
 All values are immutable and every operation is a pure function, so
 everything here is safe to share across threads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
@@ -24,6 +30,9 @@ __all__ = [
     "ZERO",
     "ONE",
 ]
+
+# The imaginary part of every real GaussianRational (see the class docstring).
+_REAL = Fraction(0)
 
 
 def as_rational(value) -> Fraction:
@@ -43,16 +52,28 @@ def as_rate(value) -> Fraction:
     return m
 
 
-@dataclass(frozen=True)
 class GaussianRational:
-    """An element a + b*i of Q(i), with exact rational components."""
+    """An element a + b*i of Q(i), with exact rational components.
 
-    re: Fraction
-    im: Fraction = Fraction(0)
+    ``re`` and ``im`` are always Fractions.  A zero imaginary part is always
+    the one shared Fraction ``_REAL``, so "is this value real" is an identity
+    test; the constructors below keep that invariant.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "re", as_rational(self.re))
-        object.__setattr__(self, "im", as_rational(self.im))
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im=_REAL):
+        object.__setattr__(self, "re", as_rational(re))
+        object.__setattr__(self, "im", as_rational(im) or _REAL)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GaussianRational is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("GaussianRational is immutable")
+
+    def __reduce__(self):
+        return GaussianRational, (self.re, self.im)
 
     # -- arithmetic -------------------------------------------------------
     # Binary ops return NotImplemented on foreign operands so that richer
@@ -62,30 +83,38 @@ class GaussianRational:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        if self.im is _REAL and other.im is _REAL:
+            return _value(self.re + other.re)
+        return _value(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        if self.im is _REAL:
+            return _value(-self.re)
+        return _value(-self.re, -self.im)
 
     def __sub__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        if self.im is _REAL and other.im is _REAL:
+            return _value(self.re - other.re)
+        return _value(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return other + (-self)
+        return other - self
 
     def __mul__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return GaussianRational(
+        if self.im is _REAL and other.im is _REAL:
+            return _value(self.re * other.re)
+        return _value(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
@@ -96,12 +125,16 @@ class GaussianRational:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        norm = other.re * other.re + other.im * other.im
-        if norm == 0:
+        if not other:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        conj = other.conjugate()
-        prod = self * conj
-        return GaussianRational(prod.re / norm, prod.im / norm)
+        if self.im is _REAL and other.im is _REAL:
+            return _value(self.re / other.re)
+        # (a + bi)/(c + di) = (a + bi)(c - di) / (c^2 + d^2)
+        norm = other.re * other.re + other.im * other.im
+        return _value(
+            (self.re * other.re + self.im * other.im) / norm,
+            (self.im * other.re - self.re * other.im) / norm,
+        )
 
     def __rtruediv__(self, other):
         other = _coerce(other)
@@ -114,6 +147,8 @@ class GaussianRational:
             raise TypeError("Gaussian rational powers must be integers")
         if exponent < 0:
             return (ONE / self) ** (-exponent)
+        if self.im is _REAL:
+            return _value(self.re**exponent)
         result = ONE
         base = self
         e = exponent
@@ -127,14 +162,14 @@ class GaussianRational:
     # -- structure --------------------------------------------------------
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _value(self.re, -self.im)
 
     @property
     def is_real(self) -> bool:
-        return self.im == 0
+        return self.im is _REAL
 
     def __bool__(self) -> bool:
-        return self.re != 0 or self.im != 0
+        return self.im is not _REAL or self.re != 0
 
     def __eq__(self, other) -> bool:
         other = _coerce(other)
@@ -143,19 +178,40 @@ class GaussianRational:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
+        # A real value hashes as its real part, as complex does, so that
+        # equal ints and Fractions find it in sets and dicts.
+        if self.im is _REAL:
+            return hash(self.re)
         return hash((self.re, self.im))
 
     def __repr__(self) -> str:
-        if self.im == 0:
+        if self.im is _REAL:
             return f"GaussianRational({self.re})"
         return f"GaussianRational({self.re}, {self.im})"
+
+
+_new = object.__new__
+_set_re = GaussianRational.re.__set__
+_set_im = GaussianRational.im.__set__
+
+
+def _value(re: Fraction, im: Fraction = _REAL) -> GaussianRational:
+    """re + im*i from two Fractions, without the public constructor's coercion."""
+    if im is not _REAL and not im:
+        im = _REAL
+    z = _new(GaussianRational)
+    _set_re(z, re)
+    _set_im(z, im)
+    return z
 
 
 def _coerce(value):
     if isinstance(value, GaussianRational):
         return value
-    if isinstance(value, (int, Fraction)):
-        return GaussianRational(Fraction(value))
+    if isinstance(value, Fraction):
+        return _value(value)
+    if isinstance(value, int):
+        return _value(Fraction(value))
     return NotImplemented
 
 

@@ -615,3 +615,43 @@ def test_check_output_is_pinned(capsys, argv, digest):
     assert (code, err) == (0, "")
     assert out.endswith(": PASS\n")
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest, out
+
+
+SEED_DIGESTS = Path(__file__).resolve().parents[1] / "bench" / "seed_digests.tsv"
+MAX_PINNED_ORDER = 36  # genfunc orders 40-64 take most of the table's time
+
+
+def seed_digest_requests(verb):
+    """(argv, digest) for each ``verb`` row of the benchmark's digest table, read only.
+
+    Rates are spelled "--m=VALUE", as bench/record_digests.py records them.
+    """
+    out = []
+    for line in SEED_DIGESTS.read_text(encoding="utf-8").splitlines():
+        key, digest = line.split("\t")
+        argv = key.split()
+        if argv[0] != verb:
+            continue
+        if verb == "genfunc" and int(argv[argv.index("--order") + 1]) > MAX_PINNED_ORDER:
+            continue
+        for i, arg in enumerate(argv[:-1]):
+            if arg == "--m":
+                argv[i:i + 2] = [f"--m={argv[i + 1]}"]
+                break
+        out.append((argv, digest))
+    return out
+
+
+@pytest.mark.parametrize("verb,count", [("poly", 2080), ("integrate", 400), ("genfunc", 56)])
+def test_emit_outputs_match_seed_digests(monkeypatch, verb, count):
+    monkeypatch.setenv("SCE_MAX_N", "64")
+    requests = seed_digest_requests(verb)
+    assert len(requests) == count
+    wrong = []
+    for argv, digest in requests:
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(argv)
+        if code != 0 or hashlib.sha256(buf.getvalue().encode()).hexdigest()[:16] != digest:
+            wrong.append(" ".join(argv))
+    assert wrong == []

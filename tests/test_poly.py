@@ -1,9 +1,12 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from scepoly.genfunc import FormalSeries, series_Em
 from scepoly.poly import ExpPoly, LaurentPoly, Poly
 from scepoly.rational import GaussianRational, I, as_gaussian
 
@@ -278,3 +281,25 @@ class TestEvalAgainstReference:
     def test_refuses_floats(self):
         with pytest.raises(TypeError):
             X.eval(0.5)
+
+
+IMMUTABLE_VALUES = [
+    GaussianRational(Fraction(-5, 3), Fraction(1, 2)),
+    Poly([Fraction(1, 2), 0, I, -3]),
+    LaurentPoly({-3: Fraction(2, 7), 0: 1, 2: I}),
+    ExpPoly([(I, Poly([1, 2])), (-1, LaurentPoly({-1: 3})), (0, X)]),
+    series_Em(Fraction(-5, 3), 5),
+]
+
+
+@pytest.mark.parametrize("value", IMMUTABLE_VALUES, ids=lambda v: type(v).__name__)
+@pytest.mark.parametrize("round_trip", [copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))],
+                         ids=["copy", "deepcopy", "pickle"])
+def test_immutable_values_copy_and_pickle(value, round_trip):
+    other = round_trip(value)
+    assert type(other) is type(value) and other == value
+    assert repr(other) == repr(value)
+    if isinstance(value, ExpPoly):
+        assert list(other.terms) == list(value.terms)
+    if isinstance(value, FormalSeries):
+        assert other.coeffs == value.coeffs

@@ -1,5 +1,5 @@
+import operator
 from fractions import Fraction
-from math import factorial
 
 import pytest
 from hypothesis import given
@@ -14,6 +14,17 @@ from scepoly.rational import (
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=16)
 gaussians = st.builds(GaussianRational, rationals, rationals)
+nonzero = rationals.filter(bool)
+reals = st.builds(GaussianRational, rationals)
+non_reals = st.builds(GaussianRational, rationals, nonzero)
+# Operand pairs for each branch: real x real, real x non-real, non-real x real
+# and non-real x non-real.
+operand_pairs = st.one_of(
+    st.tuples(reals, reals),
+    st.tuples(reals, non_reals),
+    st.tuples(non_reals, reals),
+    st.tuples(non_reals, non_reals),
+)
 
 
 class TestRational:
@@ -39,13 +50,6 @@ class TestRational:
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
         assert a + b == b + a
-
-
-class TestFactorial:
-    def test_base_cases(self):
-        assert factorial(0) == 1
-        assert factorial(5) == 120
-        assert factorial(12) == 479001600
 
 
 class TestGaussianRational:
@@ -96,3 +100,122 @@ class TestGaussianRational:
         if not b:
             return
         assert (a * b) / b == a
+
+
+# The Q(i) formulas on (re, im) pairs of plain Fractions, the reference for
+# both the real fast paths and the general ones.
+
+def _ref_mul(a, b):
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def _ref_div(a, b):
+    norm = b[0] * b[0] + b[1] * b[1]
+    return (a[0] * b[0] + a[1] * b[1]) / norm, (a[1] * b[0] - a[0] * b[1]) / norm
+
+
+def _ref_pow(a, e):
+    if e < 0:
+        return _ref_pow(_ref_div((Fraction(1), Fraction(0)), a), -e)
+    out = (Fraction(1), Fraction(0))
+    for _ in range(e):
+        out = _ref_mul(out, a)
+    return out
+
+
+REFERENCE = {
+    operator.add: lambda a, b: (a[0] + b[0], a[1] + b[1]),
+    operator.sub: lambda a, b: (a[0] - b[0], a[1] - b[1]),
+    operator.mul: _ref_mul,
+    operator.truediv: _ref_div,
+}
+
+
+def _parts(z):
+    assert type(z) is GaussianRational
+    assert type(z.re) is Fraction and type(z.im) is Fraction
+    assert z.is_real == (z.im == 0)
+    return z.re, z.im
+
+
+class TestBranchesAgainstReference:
+    @pytest.mark.parametrize("op", list(REFERENCE), ids=lambda op: op.__name__)
+    @given(pair=operand_pairs)
+    def test_binary_ops(self, op, pair):
+        a, b = pair
+        if op is operator.truediv and not b:
+            return
+        assert _parts(op(a, b)) == REFERENCE[op](_parts(a), _parts(b))
+
+    @pytest.mark.parametrize("op", list(REFERENCE), ids=lambda op: op.__name__)
+    @given(a=gaussians, q=rationals | st.integers(-50, 50))
+    def test_mixed_operands(self, op, a, q):
+        """An int or a Fraction on either side acts as the real value q."""
+        g = GaussianRational(q)
+        if q:
+            assert _parts(op(a, q)) == _parts(op(a, g))
+        if a:
+            assert _parts(op(q, a)) == _parts(op(g, a))
+
+    @given(a=st.one_of(reals, non_reals))
+    def test_negation(self, a):
+        assert _parts(-a) == (-a.re, -a.im)
+        assert _parts(a.conjugate()) == (a.re, -a.im)
+
+    @given(a=st.one_of(reals, non_reals), e=st.integers(-6, 6))
+    def test_powers(self, a, e):
+        if e < 0 and not a:
+            with pytest.raises(ZeroDivisionError):
+                a**e
+            return
+        assert _parts(a**e) == _ref_pow(_parts(a), e)
+
+    @given(re=rationals | st.integers(-50, 50), im=rationals | st.integers(-50, 50))
+    def test_parts_are_fractions(self, re, im):
+        z = GaussianRational(re, im)
+        assert _parts(z) == (re, im)
+        assert z.is_real == (im == 0)
+
+    @given(a=gaussians)
+    def test_immutable(self, a):
+        for name in ("re", "im", "other"):
+            with pytest.raises(AttributeError):
+                setattr(a, name, Fraction(1))
+        with pytest.raises(AttributeError):
+            del a.re
+
+    def test_repr(self):
+        assert repr(GaussianRational(Fraction(-3, 4))) == "GaussianRational(-3/4)"
+        assert repr(GaussianRational(2, 0)) == "GaussianRational(2)"
+        assert repr(GaussianRational(0, Fraction(1, 2))) == "GaussianRational(0, 1/2)"
+        assert repr(I * I) == "GaussianRational(-1)"
+        assert repr(ONE / GaussianRational(1, 1)) == "GaussianRational(1/2, -1/2)"
+
+
+class TestHashEq:
+    """A real value equals, and hashes as, its real part, as complex does."""
+
+    @given(q=rationals | st.integers(-50, 50))
+    def test_real_value_hashes_as_its_real_part(self, q):
+        z = GaussianRational(q)
+        assert z == q and q == z
+        assert hash(z) == hash(q) == hash(Fraction(q))
+        assert z in {q} and q in {z}
+        assert {q: "q"}[z] == "q" and {z: "z"}[q] == "z"
+
+    def test_set_and_dict_lookups(self):
+        assert 1 in {GaussianRational(1)}
+        assert GaussianRational(0) in {0, 5}
+        assert Fraction(1, 2) in {GaussianRational(Fraction(2, 4))}
+        assert {GaussianRational(-3): "a"}[-3] == "a"
+        assert {3: "b"}[GaussianRational(6) / 2] == "b"
+        assert len({1, Fraction(1), GaussianRational(1), I * I * -1}) == 1
+        assert I not in {0, 1, -1}
+
+    @given(a=gaussians, b=gaussians)
+    def test_equal_values_hash_equal(self, a, b):
+        assert (a == b) == (_parts(a) == _parts(b))
+        if a == b:
+            assert hash(a) == hash(b)
+        assert GaussianRational(a.re, a.im) == a
+        assert hash(GaussianRational(a.re, a.im)) == hash(a)
