@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import factorial
 
 from .poly import Poly
-from .rational import I, as_rate, as_rational
+from .rational import I, ZERO, as_rate, as_rational
 from .report import CheckReport
 
 __all__ = [
@@ -55,6 +55,8 @@ class FormalSeries:
 
     Arithmetic never consults coefficients beyond the truncation order, and
     mixing different orders is an error rather than a silent re-truncation.
+    A product convolves over the nonzero terms c*x^d*t^k of both factors only:
+    one scalar multiply-add for each pair whose t-powers fit the order.
     """
 
     __slots__ = ("coeffs",)
@@ -102,19 +104,21 @@ class FormalSeries:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, FormalSeries):
-            self._check_order(other)
-            n = self.order
-            out = [Poly.zero()] * (n + 1)
-            for i, a in enumerate(self.coeffs):
-                if a.is_zero():
-                    continue
-                for j in range(n + 1 - i):
-                    b = other.coeffs[j]
-                    if not b.is_zero():
-                        out[i + j] = out[i + j] + a * b
-            return FormalSeries(out)
-        return FormalSeries(c * other for c in self.coeffs)
+        if not isinstance(other, FormalSeries):
+            return FormalSeries(c * other for c in self.coeffs)
+        self._check_order(other)
+        b_terms = _nonzero_terms(other)
+        sums = [{} for _ in self.coeffs]  # sums[k][d]: coefficient of x^d t^k
+        for i, a in _nonzero_terms(self):
+            for j, b in b_terms:
+                if i + j > self.order:
+                    break
+                acc = sums[i + j]
+                for da, ca in a:
+                    for db, cb in b:
+                        d = da + db
+                        acc[d] = acc[d] + ca * cb if d in acc else ca * cb
+        return FormalSeries(Poly(s.get(d, ZERO) for d in range(len(s) and max(s) + 1)) for s in sums)
 
     __rmul__ = __mul__
 
@@ -135,6 +139,12 @@ def _as_coeff(c) -> Poly:
     if isinstance(c, Poly):
         return c
     return Poly.constant(c)
+
+
+def _nonzero_terms(series: FormalSeries) -> list:
+    """[(k, [(d, c), ...]), ...]: the nonzero terms c*x^d*t^k, grouped by k in ascending order."""
+    nonzero = ((k, p.coeffs) for k, p in enumerate(series.coeffs) if p.coeffs)
+    return [(k, [(d, c) for d, c in enumerate(cs) if c]) for k, cs in nonzero]
 
 
 # ---------------------------------------------------------------------------

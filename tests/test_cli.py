@@ -618,7 +618,6 @@ def test_check_output_is_pinned(capsys, argv, digest):
 
 
 SEED_DIGESTS = Path(__file__).resolve().parents[1] / "bench" / "seed_digests.tsv"
-MAX_PINNED_ORDER = 36  # genfunc orders 40-64 take most of the table's time
 
 
 def seed_digest_requests(verb):
@@ -632,8 +631,6 @@ def seed_digest_requests(verb):
         argv = key.split()
         if argv[0] != verb:
             continue
-        if verb == "genfunc" and int(argv[argv.index("--order") + 1]) > MAX_PINNED_ORDER:
-            continue
         for i, arg in enumerate(argv[:-1]):
             if arg == "--m":
                 argv[i:i + 2] = [f"--m={argv[i + 1]}"]
@@ -642,7 +639,7 @@ def seed_digest_requests(verb):
     return out
 
 
-@pytest.mark.parametrize("verb,count", [("poly", 2080), ("integrate", 400), ("genfunc", 56)])
+@pytest.mark.parametrize("verb,count", [("poly", 2080), ("integrate", 400), ("genfunc", 88)])
 def test_emit_outputs_match_seed_digests(monkeypatch, verb, count):
     monkeypatch.setenv("SCE_MAX_N", "64")
     requests = seed_digest_requests(verb)

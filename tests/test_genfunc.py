@@ -2,6 +2,8 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from scepoly.families import c_from_s, e_explicit, em_explicit, laguerre_general, s_explicit
 from scepoly.genfunc import (
@@ -22,9 +24,48 @@ from scepoly.genfunc import (
     sigma_linear,
 )
 from scepoly.poly import Poly
-from scepoly.rational import I
+from scepoly.rational import GaussianRational, I
 
 X = Poly.x()
+
+# A series as plain data: one list per power of t of (re, im) Fraction pairs by
+# ascending degree in x, zeros allowed anywhere (so also between nonzero terms).
+_parts = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+_scalars = st.just((Fraction(0), Fraction(0))) | st.tuples(_parts, _parts)
+_rows = st.lists(_scalars, max_size=5)
+
+
+@st.composite
+def _row_pairs(draw):
+    """Two same-order series as (re, im) rows, order 0 to 8."""
+    order = draw(st.integers(0, 8))
+    return tuple(draw(st.lists(_rows, min_size=order + 1, max_size=order + 1)) for _ in "ab")
+
+
+def _series(rows):
+    return FormalSeries(Poly(GaussianRational(re, im) for re, im in row) for row in rows)
+
+
+def _as_dicts(series):
+    return [{d: (c.re, c.im) for d, c in enumerate(p.coeffs) if c} for p in series.coeffs]
+
+
+def _dense_product(a_rows, b_rows):
+    """Schoolbook reference: every (t^i x^da) * (t^j x^db) with i + j <= order, zeros included."""
+    out = [{} for _ in a_rows]
+    for i, a in enumerate(a_rows):
+        for j, b in enumerate(b_rows[: len(a_rows) - i]):
+            for da, (ar, ai) in enumerate(a):
+                for db, (br, bi) in enumerate(b):
+                    re, im = out[i + j].get(da + db, (0, 0))
+                    out[i + j][da + db] = (re + ar * br - ai * bi, im + ar * bi + ai * br)
+    return [{d: v for d, v in row.items() if v != (0, 0)} for row in out]
+
+
+# x^2 - 2i and (1/2 + i) x t^2 times x t + (3 + x^2) t^2: interior zeros, non-real
+# entries, and both factors non-constant in x
+_MIXED = ([[(0, -2), (0, 0), (1, 0)], [], [(0, 0), (Fraction(1, 2), 1)]],
+          [[], [(0, 0), (1, 0)], [(3, 0), (0, 0), (1, 0)]])
 
 
 class TestSeriesArithmetic:
@@ -51,6 +92,28 @@ class TestSeriesArithmetic:
             series_E(3) + series_E(4)
         with pytest.raises(ValueError, match="orders differ"):
             series_E(3) * series_E(4)
+
+    @given(rows=_row_pairs(), k=st.integers(-3, 3), p=_rows)
+    @example(rows=_MIXED, k=2, p=[(0, 1), (0, 0), (Fraction(-1, 3), 0)])
+    @example(rows=([[(1, 1)]], [[(0, 0), (2, -1)]]), k=0, p=[])
+    def test_product_matches_dense_convolution(self, rows, k, p):
+        a_rows, b_rows = rows
+        f, g = _series(a_rows), _series(b_rows)
+        assert _as_dicts(f * g) == _dense_product(a_rows, b_rows)
+        assert f * g == g * f
+        # int * series and series * Poly are products with a series constant in t
+        padding = [[]] * f.order
+        assert _as_dicts(k * f) == _dense_product(a_rows, [[(k, 0)]] + padding)
+        poly = Poly(GaussianRational(re, im) for re, im in p)
+        assert _as_dicts(f * poly) == _dense_product(a_rows, [p] + padding)
+
+    @given(order=st.integers(0, 8), extra=st.integers(1, 3))
+    def test_product_order_mismatch_rejected(self, order, extra):
+        f, g = series_E(order), FormalSeries.one(order + extra)
+        with pytest.raises(ValueError, match="orders differ"):
+            f * g
+        with pytest.raises(ValueError, match="orders differ"):
+            g * f
 
     def test_addition_and_negation(self):
         f = series_S(5)

@@ -26,3 +26,11 @@ def test_unknown_name_raises_value_error():
 def test_cli_shares_the_suite_table():
     # Wrapping a suite in cli.VERIFY_SUITES must reach run_suite.
     assert cli.VERIFY_SUITES is suites.VERIFY_SUITES
+
+
+@pytest.mark.parametrize("name,count", [("genfunc", 284), ("theorem2", 7)])
+def test_series_suites_at_max_n_64(name, count):
+    # 64 is the default SCE_MAX_N cap; both suites rest on FormalSeries products
+    report = run_suite(name, 64)
+    assert len(report) == count
+    assert report.all_passed, report.failures
