@@ -16,6 +16,7 @@ import math
 import os
 import sys
 from fractions import Fraction
+from math import gcd
 
 from . import families, genfunc, integrals
 from .poly import Poly
@@ -79,18 +80,24 @@ def _join_signed(pieces: list[str]) -> str:
     return out
 
 
+def _parts(p: Poly) -> list[tuple[int, int, int, int]]:
+    """(re_num, re_den, im_num, im_den) in lowest terms for x^0 .. x^degree, read once from p's numerators."""
+    out, den = [(0, 1, 0, 1)] * p.lo, p.den
+    for r, i in zip(p.re, p.im or (0,) * len(p.re)):
+        g, h = gcd(r, den), gcd(i, den)
+        out.append((r // g, den // g, i // h, den // h))
+    return out
+
+
 def _signed_terms(p: Poly, fmt: str, magnitude) -> str:
     """Nonzero real terms of p, highest power first, as sign and ``magnitude(|num|, den, k)``."""
+    if p.im:
+        raise ValueError(f"{fmt} rendering expects real coefficients")
     pieces = []
-    for k in range(p.degree, -1, -1):
-        c = p.coeffs[k]
-        if not c:
-            continue
-        if c.im != 0:
-            raise ValueError(f"{fmt} rendering expects real coefficients")
-        num = c.re.numerator
-        mag = magnitude(abs(num), c.re.denominator, k)
-        pieces.append(f"-{mag}" if num < 0 else mag)
+    for k, (num, den, _, _) in reversed(list(enumerate(_parts(p)))):
+        if num:
+            mag = magnitude(abs(num), den, k)
+            pieces.append(f"-{mag}" if num < 0 else mag)
     return _join_signed(pieces)
 
 
@@ -105,7 +112,9 @@ def render_poly_latex(p: Poly) -> str:
 
 
 def _json_coeffs(p: Poly) -> list[dict[str, str]]:
-    return [{"re": str(c.re), "im": str(c.im)} for c in p.coeffs]
+    # As str(Fraction) prints them: "p/q", or "p" when q is 1.
+    return [{"re": f"{rn}/{rd}".removesuffix("/1"), "im": f"{im}/{idn}".removesuffix("/1")}
+            for rn, rd, im, idn in _parts(p)]
 
 
 def _json_doc(family: str, index_key: str, index: int, m: Fraction | None, coeffs) -> str:
@@ -137,10 +146,7 @@ _CSV_HEADER = "degree,re_num,re_den,im_num,im_den"
 
 
 def _csv_rows(p: Poly, prefix: str = "") -> list[str]:
-    return [
-        f"{prefix}{k},{c.re.numerator},{c.re.denominator},{c.im.numerator},{c.im.denominator}"
-        for k, c in enumerate(p.coeffs)
-    ]
+    return [f"{prefix}{k},{rn},{rd},{im},{idn}" for k, (rn, rd, im, idn) in enumerate(_parts(p))]
 
 
 def poly_to_csv(p: Poly) -> str:
@@ -159,7 +165,8 @@ def _times_basis(p: Poly, basis: str) -> str:
     if p == -Poly.one():
         return "-" + basis
     text = render_poly_text(p)
-    return f"{text} {basis}" if sum(1 for c in p.coeffs if c) == 1 else f"({text}) {basis}"
+    # The canonical form strips zeros at both ends: one numerator is one term.
+    return f"{text} {basis}" if len(p.re) == 1 else f"({text}) {basis}"
 
 
 def render_series_text(fs: genfunc.FormalSeries) -> str:

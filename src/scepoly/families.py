@@ -62,17 +62,11 @@ def e_explicit(n: int) -> Poly:
     """e_n(x) = x^n + sum_{l=0}^{n-1} (-1)^(l+n) (n!/l!) x^l; zero for n < 0."""
     if n < 0:
         return Poly.zero()
-    return Poly(_signed_falling(n))
-
-
-def _signed_falling(n: int) -> list[int]:
-    """(-1)^(l+n) n!/l! for l = 0..n, as a running product from l = n down."""
-    coeffs = [0] * (n + 1)
-    c = 1
+    coeffs, c = [0] * (n + 1), 1  # (-1)^(l+n) n!/l!, a running product from l = n down
     for l in range(n, -1, -1):
         coeffs[l] = c
         c *= -l
-    return coeffs
+    return Poly.from_numerators(coeffs)
 
 
 def e_recurrence(n: int) -> Poly:
@@ -111,16 +105,19 @@ def laguerre_general(n: int, alpha) -> Poly:
 
     Built from the explicit sum
     L_n^(alpha)(x) = sum_{k=0}^{n} (-1)^k C(n+alpha, n-k) x^k / k!,
-    which is what makes negative and fractional upper indices exact.  The
-    binomials C(a, j), a = n+alpha, come from C(a, j+1) = C(a, j)(a-j)/(j+1).
+    which is what makes negative and fractional upper indices exact.  Over
+    the common denominator q^n n!, with n + alpha = p/q, the numerator of
+    x^(n-j) is (-1)^(n-j) p(p-q)...(p-(j-1)q) q^(n-j) C(n, j).
     """
     if n < 0:
         return Poly.zero()
-    a, binom, coeffs = n + as_rational(alpha), Fraction(1), []
-    for j in range(n + 1):  # the coefficient of x^(n-j)
-        coeffs.append((-1) ** (n - j) * binom / factorial(n - j))
-        binom = binom * (a - j) / (j + 1)
-    return Poly(reversed(coeffs))
+    p, q = (n + as_rational(alpha)).as_integer_ratio()
+    re, rising, binom = [0] * (n + 1), 1, 1
+    for j in range(n + 1):
+        re[n - j] = (-1) ** (n - j) * rising * q ** (n - j) * binom
+        rising *= p - j * q
+        binom = binom * (n - j) // (j + 1)
+    return Poly.from_numerators(re, den=q**n * factorial(n))
 
 
 def e_laguerre(n: int) -> Poly:
@@ -139,14 +136,13 @@ def em_explicit(n: int, m) -> Poly:
     m = as_rate(m)
     if n < 0:
         return Poly.zero()
-    # A running product from l = n down: term_(l-1) = term_l * (-l/m), so each
-    # step reduces against small integers only.
-    coeffs = [0] * (n + 1)
-    term = m**n
-    for l in range(n, -1, -1):
-        coeffs[l] = term
-        term *= Fraction(-l) / m
-    return Poly(coeffs)
+    # Over the common denominator q^n, with m = p/q, the numerator of x^l is
+    # (-1)^(l+n) p^l q^(n-l) n!/l!: the one before times -p/((l+1)q), exactly.
+    p, q = m.as_integer_ratio()
+    re = [(-1) ** n * q**n * factorial(n)]
+    for l in range(n):
+        re.append(-re[l] * p // ((l + 1) * q))
+    return Poly.from_numerators(re, den=q**n)
 
 
 def em_rodrigues(n: int, m) -> Poly:
@@ -188,7 +184,7 @@ def s_explicit(n: int) -> Poly:
     for l in range(n, -1, -2):
         coeffs[l] = c
         c *= -l * (l - 1)
-    return Poly(coeffs)
+    return Poly.from_numerators(coeffs)
 
 
 def s_from_e(n: int) -> Poly:

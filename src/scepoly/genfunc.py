@@ -24,10 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
-from .poly import Poly
-from .rational import I, ZERO, as_rate, as_rational
+from .poly import Poly, _as_poly, _mul_into
+from .rational import I, as_rate, as_rational
 from .report import CheckReport
 
 __all__ = [
@@ -55,14 +55,15 @@ class FormalSeries:
 
     Arithmetic never consults coefficients beyond the truncation order, and
     mixing different orders is an error rather than a silent re-truncation.
-    A product convolves over the nonzero terms c*x^d*t^k of both factors only:
-    one scalar multiply-add for each pair whose t-powers fit the order.
+    A product brings each factor to one common denominator and convolves the
+    integer numerators of each pair of nonzero coefficients whose t-powers fit
+    the order.
     """
 
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        object.__setattr__(self, "coeffs", tuple(_as_coeff(c) for c in coeffs))
+        object.__setattr__(self, "coeffs", tuple(_as_poly(c) for c in coeffs))
         if not self.coeffs:
             raise ValueError("a series needs at least the t^0 coefficient")
 
@@ -107,18 +108,17 @@ class FormalSeries:
         if not isinstance(other, FormalSeries):
             return FormalSeries(c * other for c in self.coeffs)
         self._check_order(other)
-        b_terms = _nonzero_terms(other)
-        sums = [{} for _ in self.coeffs]  # sums[k][d]: coefficient of x^d t^k
-        for i, a in _nonzero_terms(self):
-            for j, b in b_terms:
+        a_den, b_den = lcm(*(c.den for c in self.coeffs)), lcm(*(c.den for c in other.coeffs))
+        a = [(i, c, a_den // c.den) for i, c in enumerate(self.coeffs) if c.re]
+        b = [(j, c, b_den // c.den) for j, c in enumerate(other.coeffs) if c.re]
+        width = max(c.degree for c in self.coeffs) + max(c.degree for c in other.coeffs) + 1
+        re, im = [[0] * width for _ in self.coeffs], [[0] * width for _ in self.coeffs]
+        for i, ca, fa in a:
+            for j, cb, fb in b:
                 if i + j > self.order:
                     break
-                acc = sums[i + j]
-                for da, ca in a:
-                    for db, cb in b:
-                        d = da + db
-                        acc[d] = acc[d] + ca * cb if d in acc else ca * cb
-        return FormalSeries(Poly(s.get(d, ZERO) for d in range(len(s) and max(s) + 1)) for s in sums)
+                _mul_into(re[i + j], im[i + j], ca, cb, fa * fb, ca.lo + cb.lo)
+        return FormalSeries(Poly.from_numerators(r, i, a_den * b_den) for r, i in zip(re, im))
 
     __rmul__ = __mul__
 
@@ -135,29 +135,14 @@ class FormalSeries:
         return f"FormalSeries(order={self.order})"
 
 
-def _as_coeff(c) -> Poly:
-    if isinstance(c, Poly):
-        return c
-    return Poly.constant(c)
-
-
-def _nonzero_terms(series: FormalSeries) -> list:
-    """[(k, [(d, c), ...]), ...]: the nonzero terms c*x^d*t^k, grouped by k in ascending order."""
-    nonzero = ((k, p.coeffs) for k, p in enumerate(series.coeffs) if p.coeffs)
-    return [(k, [(d, c) for d, c in enumerate(cs) if c]) for k, cs in nonzero]
-
-
 # ---------------------------------------------------------------------------
 # The concrete generating functions
 # ---------------------------------------------------------------------------
 
 def series_exp_xt(scale, order: int) -> FormalSeries:
     """exp(scale * x * t): coefficient of t^k is (scale*x)^k / k!."""
-    scale = as_rational(scale)
-    return FormalSeries(
-        Poly.monomial(k, scale**k * Fraction(1, factorial(k)))
-        for k in range(order + 1)
-    )
+    p, q = as_rational(scale).as_integer_ratio()
+    return FormalSeries(Poly.monomial(k, Fraction(p**k, q**k * factorial(k))) for k in range(order + 1))
 
 
 def _inv_one_plus_t(order: int) -> FormalSeries:
@@ -325,5 +310,5 @@ def degenerate_genfunc(spec: LinearHGSpec, order: int) -> FormalSeries:
     powers = [Poly.one()]
     for _ in range(order):
         powers.append(powers[-1] * g)
-    expo = FormalSeries(g_k * Fraction(1, factorial(k)) for k, g_k in enumerate(powers))
+    expo = FormalSeries(g_k / factorial(k) for k, g_k in enumerate(powers))
     return FormalSeries(binom) * expo

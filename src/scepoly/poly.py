@@ -1,139 +1,150 @@
 """Exact univariate polynomial and exponential-polynomial calculus.
 
-Three representations, chosen to match how each is accessed:
+``Poly`` and ``LaurentPoly`` share one exact layout, FLINT's ``fmpq_poly``
+(https://flintlib.org/doc/fmpq_poly.html) plus an exponent offset:
+x^lo * sum_k (re[k] + i*im[k]) x^k / den, integer numerators over one
+positive denominator.  The form is canonical (``_normalise``), so equality
+is tuple equality, and arithmetic, derivatives, ``scale_arg`` and ``eval``
+are passes over Python ints by kernels the two classes share.
+``GaussianRational`` appears only at the edges: scalars and rates in,
+``coeffs``, ``coeff`` and ``eval`` out.  A ``Poly`` has lo >= 0; a
+``LaurentPoly`` may go below, as derivatives of x^(-1)*e^(rx) do.
 
-* ``Poly`` -- dense coefficient tuple over Gaussian rationals, ascending
-  degree, no trailing zeros (the zero polynomial is the empty tuple).
-  Its arithmetic goes through the ``GaussianRational`` operators, whose
-  real fast paths cover the real coefficients of every family.
-* ``LaurentPoly`` -- integer numerator tuples (real and imaginary) over one
-  common denominator, starting at an integer exponent offset that may be
-  negative: iterated derivatives of x^(-1)*e^(rx) push exponents down to
-  -n-1, and each derivative is one pass over the integers.
-* ``ExpPoly`` -- a finite sum of terms p_k(x)*e^(mu_k x) with Laurent
-  polynomial parts and pairwise distinct Gaussian-rational rates mu_k.
-  The class is closed under differentiation, which is the whole point:
-  it can differentiate weight-function products and trigonometric closed
-  forms exactly, with sin/cos lifted to complex exponentials.
+``ExpPoly`` is a finite sum of terms p_k(x)*e^(mu_k x) with Laurent
+polynomial parts and pairwise distinct Gaussian-rational rates mu_k, closed
+under differentiation: it differentiates weight-function products and
+trigonometric closed forms (sin/cos lifted to complex exponentials) exactly.
 
-No polynomial division lives here; nothing downstream needs it.
-All values are immutable and operations are pure; they copy and pickle
-by their constructors (``__reduce__``).
+No polynomial division lives here; nothing downstream needs it.  All values
+are immutable and operations are pure; they copy and pickle by their
+constructors (``__reduce__``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping
 
-from .rational import GaussianRational, ONE, ZERO, as_gaussian
+from .rational import GaussianRational, ZERO, _value, as_gaussian
 
 __all__ = ["Poly", "LaurentPoly", "ExpPoly"]
 
-Scalar = Union[int, Fraction, GaussianRational]
 
+class _Numerators:
+    """The shared layout: x^lo * sum_k (re[k] + i*im[k]) x^k / den, canonical (see ``_normalise``)."""
 
-class Poly:
-    """Dense univariate polynomial over Q(i), coefficients by ascending degree."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable = ()):
-        cs = [as_gaussian(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+    __slots__ = ("lo", "re", "im", "den")
 
     def __setattr__(self, name, value):
-        raise AttributeError("Poly is immutable")
+        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):
-        return Poly, (self.coeffs,)
+        return _make, (type(self), self.lo, self.re, self.im, self.den)
+
+    def is_zero(self) -> bool:
+        return not self.re
+
+    def __hash__(self):
+        return hash((self.lo, self.re, self.im, self.den))
+
+
+class Poly(_Numerators):
+    """Polynomial over Q(i) in the integer layout, lo >= 0."""
+
+    __slots__ = ()
+
+    def __new__(cls, coeffs: Iterable = ()):
+        """The polynomial whose coefficients (ints, Fractions or GaussianRationals) ascend from x^0."""
+        parts = [_int_parts(c) for c in coeffs]
+        den = lcm(*(q for _, _, q in parts))
+        return _make(cls, 0, [a * (den // q) for a, _, q in parts], [b * (den // q) for _, b, q in parts], den)
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
+    def from_numerators(cls, re, im=(), den: int = 1) -> "Poly":
+        """sum_k (re[k] + i*im[k]) x^k / den, from integer numerators and a positive denominator."""
+        return _make(cls, 0, re, im, den)
+
+    @classmethod
     def zero(cls) -> "Poly":
-        return cls(())
+        return _raw(cls, 0, (), (), 1)
 
     @classmethod
     def one(cls) -> "Poly":
-        return cls((1,))
+        return _raw(cls, 0, (1,), (), 1)
 
     @classmethod
     def x(cls) -> "Poly":
-        return cls((0, 1))
+        return _raw(cls, 1, (1,), (), 1)
 
     @classmethod
     def constant(cls, c) -> "Poly":
-        return cls((c,))
+        return cls.monomial(0, c)
 
     @classmethod
     def monomial(cls, k: int, c=1) -> "Poly":
         if k < 0:
             raise ValueError("Poly exponents must be >= 0")
-        return cls((0,) * k + (c,))
+        a, b, q = _int_parts(c)
+        return _make(cls, k, (a,), (b,), q)
 
     # -- structure --------------------------------------------------------
 
     @property
     def degree(self) -> int:
         """Degree of the polynomial; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return self.lo + len(self.re) - 1 if self.re else -1
+
+    @property
+    def coeffs(self) -> tuple[GaussianRational, ...]:
+        """The coefficients of x^0 .. x^degree, built anew on each access."""
+        return (ZERO,) * self.lo + tuple(_gaussians(self))
 
     def coeff(self, k: int) -> GaussianRational:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        j = k - self.lo
+        if 0 <= j < len(self.re):
+            return _value(Fraction(self.re[j], self.den), Fraction(self.im[j] if self.im else 0, self.den))
         return ZERO
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def is_real(self) -> bool:
-        return all(c.im == 0 for c in self.coeffs)
 
     def require_real(self, context: str) -> "Poly":
         """Return self, or raise if any coefficient has an imaginary residue."""
-        if not self.is_real():
+        if self.im:
             raise ValueError(f"{context}: nonzero imaginary part in {self!r}")
         return self
 
     # -- ring arithmetic --------------------------------------------------
 
     def __add__(self, other):
-        other = _as_poly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.coeff(k) + other.coeff(k) for k in range(n))
+        return _make(Poly, *_add(self, _as_poly(other)))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(-c for c in self.coeffs)
+        return _raw(Poly, *_neg(self))
 
     def __sub__(self, other):
-        return self + (-_as_poly(other))
+        return _make(Poly, *_add(self, _as_poly(other), -1))
 
     def __rsub__(self, other):
-        return _as_poly(other) + (-self)
+        return _make(Poly, *_add(_as_poly(other), self, -1))
 
     def __mul__(self, other):
-        if isinstance(other, Poly):
-            if self.is_zero() or other.is_zero():
-                return Poly.zero()
-            out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = out[i + j] + a * b
-            return Poly(out)
-        c = as_gaussian(other)
-        return Poly(a * c for a in self.coeffs)
+        if not isinstance(other, Poly):
+            return _make(Poly, *_scale(self, *_int_parts(other)))
+        size = len(self.re) + len(other.re) - 1
+        re, im = [0] * size, [0] * size if self.im or other.im else []
+        _mul_into(re, im, self, other)
+        return _make(Poly, self.lo + other.lo, re, im, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
-        c = as_gaussian(scalar)
-        return Poly(a / c for a in self.coeffs)
+        a, b, q = _int_parts(scalar)
+        if not (a or b):
+            raise ZeroDivisionError("division by zero Gaussian rational")
+        return _make(Poly, *_scale(self, a * q, -b * q, a * a + b * b))  # times q*(a - b*i)/(a^2 + b^2)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -146,71 +157,66 @@ class Poly:
     # -- calculus ---------------------------------------------------------
 
     def derivative(self) -> "Poly":
-        return Poly(self.coeffs[k] * k for k in range(1, len(self.coeffs)))
+        return _make(Poly, *_derivative(self, 0, 0, 1))
 
     def eval(self, z) -> GaussianRational:
-        """Exact value at a Gaussian-rational point, by Horner over the integers.
-
-        With z = (a + b*i)/q and coefficients (r_k + s_k*i)/D over one common
-        denominator D, the sum of (r_k + s_k*i)(a + b*i)^k q^(d-k) is
-        accumulated in ints and divided by D*q^d once, at the end.
-        """
+        """Exact value at z = (a + b*i)/q: the sum of (re[k] + im[k]*i)(a + b*i)^k q^(d-k),
+        accumulated by Horner in ints, is divided by den*q^d once, at the end."""
         a, b, q = _int_parts(z)
-        re, im, den = _int_coeffs(self.coeffs)
         acc_re = acc_im = 0
         scale = 1  # q^(d-k) for the coefficient of x^k
-        for r, s in zip(reversed(re), reversed(im)):
+        for r, s in zip([*reversed(self.re), *[0] * self.lo], [*reversed(_im(self)), *[0] * self.lo]):
             acc_re, acc_im = acc_re * a - acc_im * b + r * scale, acc_re * b + acc_im * a + s * scale
             scale *= q
-        den *= q ** max(self.degree, 0)
+        den = self.den * q ** max(self.degree, 0)
         return GaussianRational(Fraction(acc_re, den), Fraction(acc_im, den))
 
     def eval_float(self, x: float) -> float:
-        """Float Horner evaluation; coefficients are converted at the last step."""
+        """Float Horner evaluation; each coefficient is rounded on its own."""
+        if self.im:
+            raise ValueError("eval_float requires real coefficients")
         acc = 0.0
-        for c in reversed(self.coeffs):
-            if c.im != 0:
-                raise ValueError("eval_float requires real coefficients")
-            acc = acc * x + float(c.re)
+        for r in [*reversed(self.re), *[0] * self.lo]:
+            acc = acc * x + r / self.den
         return acc
 
     def scale_arg(self, c) -> "Poly":
-        """Return q with q(x) = p(c*x)."""
-        c = as_gaussian(c)
-        power = ONE
-        out = []
-        for a in self.coeffs:
-            out.append(a * power)
-            power = power * c
-        return Poly(out)
+        """Return q with q(x) = p(c*x): for c = (a + b*i)/q, x^k gets (a + b*i)^k q^(d-k) over den*q^d."""
+        a, b, q = _int_parts(c)
+        zr, zi = 1, 0
+        for _ in range(self.lo):
+            zr, zi = zr * a - zi * b, zr * b + zi * a
+        scale, re, im = q ** max(len(self.re) - 1, 0), [], []
+        for r, i in zip(self.re, _im(self)):
+            r, i = r * scale, i * scale
+            re.append(r * zr - i * zi)
+            im.append(r * zi + i * zr)
+            zr, zi, scale = zr * a - zi * b, zr * b + zi * a, scale // q
+        return _make(Poly, self.lo, re, im, self.den * q ** max(self.degree, 0))
 
     # -- comparison / display ----------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, Poly):
-            return self.coeffs == other.coeffs
-        try:
-            return self.coeffs == _as_poly(other).coeffs
-        except TypeError:
-            return NotImplemented
+        if not isinstance(other, Poly):
+            try:
+                other = _as_poly(other)
+            except TypeError:
+                return NotImplemented
+        return (self.lo, self.re, self.im, self.den) == (other.lo, other.re, other.im, other.den)
 
-    def __hash__(self):
-        return hash(self.coeffs)
+    __hash__ = _Numerators.__hash__  # defining __eq__ would otherwise clear it
 
     def __repr__(self) -> str:
         if self.is_zero():
             return "Poly(0)"
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if c:
-                parts.append(f"{_scalar_repr(c)}*x^{k}" if k else _scalar_repr(c))
+        parts = [f"{_scalar_repr(c)}*x^{k}" if k else _scalar_repr(c) for k, c in enumerate(self.coeffs) if c]
         return "Poly(" + " + ".join(parts) + ")"
 
 
 def _as_poly(value) -> Poly:
     if isinstance(value, Poly):
         return value
-    return Poly((as_gaussian(value),))
+    return Poly.constant(value)
 
 
 def _scalar_repr(c: GaussianRational) -> str:
@@ -218,6 +224,8 @@ def _scalar_repr(c: GaussianRational) -> str:
         return str(c.re)
     return f"({c.re}{'+' if c.im >= 0 else ''}{c.im}i)"
 
+
+# -- the layout's kernels: each returns (lo, re, im, den), ``_make`` canonicalises
 
 def _normalise(lo: int, re, im, den: int) -> tuple:
     """Canonical integer form (lo, re, im, den) of x^lo * sum (re[k] + i*im[k]) x^k / den.
@@ -238,144 +246,157 @@ def _normalise(lo: int, re, im, den: int) -> tuple:
     if start == hi:
         return 0, (), (), 1
     re, im = re[start:hi], im[start:hi]
-    g = gcd(den, *re, *im)
+    g = gcd(den, re[-1], *re, *im)  # the leading numerator first: often coprime to den, it ends the search
     if g != 1:
         re, im, den = [c // g for c in re], [c // g for c in im], den // g
     return lo + start, tuple(re), tuple(im), den
 
 
+_new = object.__new__
+_set_lo, _set_re, _set_im, _set_den = (getattr(_Numerators, s).__set__ for s in _Numerators.__slots__)
+
+
+def _raw(cls, lo: int, re: tuple, im: tuple, den: int):
+    """A cls value holding (lo, re, im, den), which must already be canonical."""
+    p = _new(cls)
+    _set_lo(p, lo)
+    _set_re(p, re)
+    _set_im(p, im)
+    _set_den(p, den)
+    return p
+
+
+def _make(cls, lo: int, re, im, den: int):
+    return _raw(cls, *_normalise(lo, re, im, den))
+
+
 def _int_parts(value) -> tuple[int, int, int]:
     """(a, b, q) with value = (a + b*i)/q and q > 0."""
+    if isinstance(value, (int, Fraction)):
+        return value.numerator, 0, value.denominator
     c = as_gaussian(value)
     q = lcm(c.re.denominator, c.im.denominator)
     return c.re.numerator * (q // c.re.denominator), c.im.numerator * (q // c.im.denominator), q
 
 
-def _int_coeffs(coeffs) -> tuple[list[int], list[int], int]:
-    """(re, im, den) with coeffs[k] = (re[k] + im[k]*i)/den and den > 0 the least common denominator."""
-    den = lcm(*(c.re.denominator for c in coeffs), *(c.im.denominator for c in coeffs))
-    re = [c.re.numerator * (den // c.re.denominator) for c in coeffs]
-    im = [c.im.numerator * (den // c.im.denominator) for c in coeffs]
-    return re, im, den
+def _im(p) -> tuple:
+    """The imaginary numerators of p, with zeros for a real p."""
+    return p.im or (0,) * len(p.re)
 
 
-def _laurent(lo: int, re, im, den: int) -> "LaurentPoly":
-    p = object.__new__(LaurentPoly)
-    for name, value in zip(LaurentPoly.__slots__, _normalise(lo, re, im, den)):
-        object.__setattr__(p, name, value)
-    return p
+def _gaussians(p) -> list[GaussianRational]:
+    """The coefficients of x^lo, x^(lo+1), ... as GaussianRationals."""
+    return [_value(Fraction(r, p.den), Fraction(i, p.den)) for r, i in zip(p.re, _im(p))]
 
 
-class LaurentPoly:
-    """Laurent polynomial over Q(i): x^lo * sum_k (re[k] + i*im[k]) x^k / den.
+def _add(p, q, sign: int = 1) -> tuple:
+    """p + sign*q."""
+    lo = min(p.lo, q.lo)
+    size = max(p.lo + len(p.re), q.lo + len(q.re)) - lo
+    den = lcm(p.den, q.den)
+    re = [0] * size
+    im = [0] * size if p.im or q.im else ()
+    for x, f in ((p, den // p.den), (q, sign * den // q.den)):
+        at = x.lo - lo
+        for k, c in enumerate(x.re, at):
+            re[k] += c * f
+        for k, c in enumerate(x.im, at):
+            im[k] += c * f
+    return lo, re, im, den
 
-    Integer numerators over one positive common denominator, the layout of
-    FLINT's ``fmpq_poly`` (https://flintlib.org/doc/fmpq_poly.html) plus an
-    exponent offset, so one derivative is one O(deg) integer pass with no
-    Fraction or GaussianRational arithmetic in it.  ``im`` is empty for a
-    real polynomial.  The form is canonical (see ``_normalise``), so equality
-    is tuple equality.  ``terms`` converts out to a sparse exponent map.
-    """
 
-    __slots__ = ("lo", "re", "im", "den")
+def _neg(p) -> tuple:
+    """-p, already canonical."""
+    return p.lo, tuple([-c for c in p.re]), tuple([-c for c in p.im]), p.den
 
-    def __new__(cls, terms: Mapping[int, Scalar] | Iterable = ()):
+
+def _scale(p, a: int, b: int, q: int) -> tuple:
+    """p * (a + b*i)/q."""
+    if not (b or p.im):
+        return p.lo, [a * r for r in p.re], (), p.den * q
+    im = _im(p)
+    return p.lo, [a * r - b * i for r, i in zip(p.re, im)], [b * r + a * i for r, i in zip(p.re, im)], p.den * q
+
+
+def _mul_into(re: list, im: list, p, q, f: int = 1, at: int = 0) -> None:
+    """Add f * p * q, its numerators, to the lists re and im from index at (schoolbook)."""
+    for out, x, y, g in ((re, p.re, q.re, f), (re, p.im, q.im, -f), (im, p.re, q.im, f), (im, p.im, q.re, f)):
+        for i, a in enumerate(x, at):
+            if a:
+                a *= g
+                for j, b in enumerate(y, i):
+                    out[j] += a * b
+
+
+def _derivative(p, a: int, b: int, q: int) -> tuple:
+    """p' + r*p = e^(-rx) d/dx [p(x) e^(rx)] for r = (a + b*i)/q: the numerator of
+    x^(lo-1+k) is q*(lo+k)*c_k + (a + b*i)*c_(k-1), over den*q."""
+    lo, re, re_1 = p.lo, p.re + (0,), (0,) + p.re
+    if not (b or p.im):
+        return lo - 1, [q * (lo + k) * r + a * r1 for k, (r, r1) in enumerate(zip(re, re_1))], (), p.den * q
+    im, im_1 = _im(p) + (0,), (0,) + _im(p)
+    d_re = [q * (lo + k) * r + a * r1 - b * s1 for k, (r, r1, s1) in enumerate(zip(re, re_1, im_1))]
+    d_im = [q * (lo + k) * s + a * s1 + b * r1 for k, (s, r1, s1) in enumerate(zip(im, re_1, im_1))]
+    return lo - 1, d_re, d_im, p.den * q
+
+
+class LaurentPoly(_Numerators):
+    """Laurent polynomial over Q(i) in the integer layout, lo of any sign; ``terms`` maps exponents out."""
+
+    __slots__ = ()
+
+    def __new__(cls, terms: Mapping | Iterable = ()):
         """The sum of the monomials c*x^e over the (e, c) pairs of ``terms``."""
         items = terms.items() if isinstance(terms, Mapping) else terms
-        out = _laurent(0, (), (), 1)
+        out = _make(cls, 0, (), (), 1)
         for e, c in items:
             a, b, q = _int_parts(c)
-            out = out + _laurent(e, [a], [b], q)
+            out = out + _make(cls, e, (a,), (b,), q)
         return out
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LaurentPoly is immutable")
-
-    def __reduce__(self):
-        return _laurent, (self.lo, self.re, self.im, self.den)
 
     @classmethod
     def from_poly(cls, p: Poly) -> "LaurentPoly":
-        return _laurent(0, *_int_coeffs(p.coeffs))
-
-    def _coeffs(self) -> list[GaussianRational]:
-        """Dense coefficients of x^lo, x^(lo+1), ..."""
-        im = self.im or (0,) * len(self.re)
-        return [GaussianRational(Fraction(r, self.den), Fraction(i, self.den)) for r, i in zip(self.re, im)]
+        return _raw(cls, p.lo, p.re, p.im, p.den)
 
     @property
     def terms(self) -> dict[int, GaussianRational]:
         """The nonzero terms as an ascending map exponent -> coefficient."""
-        return {self.lo + k: c for k, c in enumerate(self._coeffs()) if c}
-
-    def is_zero(self) -> bool:
-        return not self.re
+        return {self.lo + k: c for k, c in enumerate(_gaussians(self)) if c}
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        lo = min(self.lo, other.lo)
-        size = max(self.lo + len(self.re), other.lo + len(other.re)) - lo
-        den = lcm(self.den, other.den)
-        re = [0] * size
-        im = [0] * size if self.im or other.im else ()
-        for p in (self, other):
-            f, at = den // p.den, p.lo - lo
-            for k, c in enumerate(p.re, at):
-                re[k] += c * f
-            for k, c in enumerate(p.im, at):
-                im[k] += c * f
-        return _laurent(lo, re, im, den)
+        return _make(LaurentPoly, *_add(self, other))
 
     def __neg__(self) -> "LaurentPoly":
-        return _laurent(self.lo, [-c for c in self.re], [-c for c in self.im], self.den)
+        return _raw(LaurentPoly, *_neg(self))
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
+        return _make(LaurentPoly, *_add(self, other, -1))
 
     def __mul__(self, scalar) -> "LaurentPoly":
-        a, b, q = _int_parts(scalar)
-        im = self.im or (0,) * len(self.re)
-        re_out = [a * r - b * i for r, i in zip(self.re, im)]
-        im_out = [b * r + a * i for r, i in zip(self.re, im)] if b or self.im else ()
-        return _laurent(self.lo, re_out, im_out, self.den * q)
+        return _make(LaurentPoly, *_scale(self, *_int_parts(scalar)))
 
     __rmul__ = __mul__
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by x^k (k may be negative)."""
-        return _laurent(self.lo + k, self.re, self.im, self.den)
+        return _make(LaurentPoly, self.lo + k, self.re, self.im, self.den)
 
     def derivative(self, rate=0) -> "LaurentPoly":
-        """p' + rate*p, i.e. e^(-rate x) d/dx [p(x) e^(rate x)]; plain p' by default.
-
-        One integer pass: for rate (a + b*i)/q the numerator of x^(lo-1+k)
-        is q*(lo+k)*c_k + (a + b*i)*c_(k-1), over den*q.
-        """
-        a, b, q = _int_parts(rate)
-        lo, re, im = self.lo, self.re, self.im
-        d_re = [q * (lo + k) * c for k, c in enumerate(re)] + [0]
-        d_im = [q * (lo + k) * c for k, c in enumerate(im or (0,) * len(re))] + [0] if im or b else ()
-        for k, r in enumerate(re, 1):
-            d_re[k] += a * r
-            if b:
-                d_im[k] += b * r
-        for k, i in enumerate(im, 1):
-            d_re[k] -= b * i
-            d_im[k] += a * i
-        return _laurent(lo - 1, d_re, d_im, self.den * q)
+        """p' + rate*p, i.e. e^(-rate x) d/dx [p(x) e^(rate x)]; plain p' by default."""
+        return _make(LaurentPoly, *_derivative(self, *_int_parts(rate)))
 
     def to_poly(self) -> Poly:
         """Convert to a Poly; negative exponents indicate an upstream bug."""
         if self.lo < 0:
             raise ValueError(f"negative exponents remain: {self!r}")
-        return Poly([0] * self.lo + self._coeffs())
+        return _raw(Poly, self.lo, self.re, self.im, self.den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         return (self.lo, self.re, self.im, self.den) == (other.lo, other.re, other.im, other.den)
 
-    def __hash__(self):
-        return hash((self.lo, self.re, self.im, self.den))
+    __hash__ = _Numerators.__hash__
 
     def __repr__(self) -> str:
         if not self.re:
@@ -399,19 +420,9 @@ class ExpPoly:
         out: dict[GaussianRational, LaurentPoly] = {}
         for rate, part in items:
             rate = as_gaussian(rate)
-            if isinstance(part, Poly):
-                part = LaurentPoly.from_poly(part)
-            if part.is_zero():
-                continue
-            if rate in out:
-                acc = out[rate] + part
-                if acc.is_zero():
-                    del out[rate]
-                else:
-                    out[rate] = acc
-            else:
-                out[rate] = part
-        object.__setattr__(self, "terms", out)
+            part = LaurentPoly.from_poly(part) if isinstance(part, Poly) else part
+            out[rate] = out[rate] + part if rate in out else part
+        object.__setattr__(self, "terms", {rate: part for rate, part in out.items() if not part.is_zero()})
 
     def __setattr__(self, name, value):
         raise AttributeError("ExpPoly is immutable")
@@ -437,8 +448,7 @@ class ExpPoly:
         return self + (-other)
 
     def __mul__(self, scalar) -> "ExpPoly":
-        c = as_gaussian(scalar)
-        return ExpPoly({r: p * c for r, p in self.terms.items()})
+        return ExpPoly({r: p * scalar for r, p in self.terms.items()})
 
     __rmul__ = __mul__
 

@@ -1,6 +1,8 @@
 import copy
+import operator
 import pickle
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given
@@ -226,6 +228,164 @@ class TestIntegerLayerAgainstReference:
         if not lp.is_zero():
             (part,) = f.terms.values()
             assert _agrees(part, expected)
+
+
+# Reference for Poly: {degree: (re, im)} of plain Fractions, zero entries
+# dropped, with the Q(i) formulas written out one Fraction operation at a time.
+def _model(coeffs):
+    return {k: (Fraction(c.re), Fraction(c.im)) for k, c in enumerate(map(as_gaussian, coeffs)) if c}
+
+
+def _model_clean(d):
+    return {k: v for k, v in d.items() if v != (0, 0)}
+
+
+def _model_add(p, q, sign=1):
+    zero = (Fraction(0), Fraction(0))
+    return _model_clean({
+        k: (p.get(k, zero)[0] + sign * q.get(k, zero)[0], p.get(k, zero)[1] + sign * q.get(k, zero)[1])
+        for k in p.keys() | q.keys()
+    })
+
+
+def _model_mul(p, q):
+    out = {}
+    for i, (ar, ai) in p.items():
+        for j, (br, bi) in q.items():
+            cr, ci = out.get(i + j, (0, 0))
+            out[i + j] = (cr + ar * br - ai * bi, ci + ar * bi + ai * br)
+    return _model_clean(out)
+
+
+def _model_inverse(c):
+    norm = c[0] * c[0] + c[1] * c[1]
+    return c[0] / norm, -c[1] / norm
+
+
+def _model_pow(c, k):
+    out = {0: (Fraction(1), Fraction(0))}
+    for _ in range(k):
+        out = _model_mul(out, {0: c})
+    return out.get(0, (Fraction(0), Fraction(0)))
+
+
+def _model_agrees(p, expected):
+    """p holds the model's value, in the canonical integer layout."""
+    assert {k: (c.re, c.im) for k, c in enumerate(p.coeffs) if c} == expected
+    assert p.degree == max(expected, default=-1)
+    if not p.re:
+        assert (p.lo, p.re, p.im, p.den) == (0, (), (), 1)
+        return True
+    im = p.im or (0,) * len(p.re)
+    assert p.lo >= 0 and p.den > 0 and len(im) == len(p.re) and any(im) == bool(p.im)
+    assert (p.re[0] or im[0]) and (p.re[-1] or im[-1])
+    assert gcd(p.den, *p.re, *im) == 1
+    rebuilt = Poly([GaussianRational(*expected.get(k, (0, 0))) for k in range(p.degree + 1)])
+    return p == rebuilt and hash(p) == hash(rebuilt)
+
+
+real_polys = st.lists(small_rationals.map(GaussianRational), max_size=6)
+complex_polys = st.lists(small_gaussians, min_size=1, max_size=6).filter(lambda cs: any(c.im for c in cs))
+POLY_KINDS = {"real": real_polys, "complex": complex_polys}
+KIND_PAIRS = [("real", "real"), ("real", "complex"), ("complex", "complex")]
+any_polys = real_polys | complex_polys
+scalars = st.one_of(st.integers(-6, 6), small_rationals, small_gaussians)
+
+
+class TestPolyAgainstModel:
+    @pytest.mark.parametrize("kinds", KIND_PAIRS, ids="x".join)
+    @given(data=st.data())
+    def test_ring_operations(self, kinds, data):
+        a, b = (data.draw(POLY_KINDS[kind]) for kind in kinds)
+        p, q, mp, mq = Poly(a), Poly(b), _model(a), _model(b)
+        assert _model_agrees(p + q, _model_add(mp, mq))
+        assert _model_agrees(p - q, _model_add(mp, mq, -1))
+        assert _model_agrees(-q, _model_add({}, mq, -1))
+        assert _model_agrees(p * q, _model_mul(mp, mq))
+        assert _model_agrees(q * p, _model_mul(mp, mq))
+
+    @given(a=any_polys, c=scalars)
+    def test_scalar_operations(self, a, c):
+        p, mp, mc = Poly(a), _model(a), _model([c]).get(0, (Fraction(0), Fraction(0)))
+        assert _model_agrees(p * c, _model_mul(mp, {0: mc}))
+        assert _model_agrees(c * p, _model_mul(mp, {0: mc}))
+        assert _model_agrees(p + c, _model_add(mp, {0: mc}))
+        assert _model_agrees(c - p, _model_add({0: mc}, mp, -1))
+        if c:
+            assert _model_agrees(p / c, _model_mul(mp, {0: _model_inverse(mc)}))
+        else:
+            with pytest.raises(ZeroDivisionError):
+                p / c
+
+    @given(a=any_polys, z=small_gaussians, n=st.integers(0, 3))
+    def test_calculus_and_powers(self, a, z, n):
+        p, mp, mz = Poly(a), _model(a), (z.re, z.im)
+        assert _model_agrees(p.derivative(), _model_clean({k - 1: (k * r, k * i) for k, (r, i) in mp.items()}))
+        scaled = {k: _model_mul({0: c}, {0: _model_pow(mz, k)}).get(0, (0, 0)) for k, c in mp.items()}
+        assert _model_agrees(p.scale_arg(z), _model_clean(scaled))
+        power = {0: (Fraction(1), Fraction(0))}
+        for _ in range(n):
+            power = _model_mul(power, mp)
+        assert _model_agrees(p**n, power)
+
+    @given(a=any_polys, k=st.integers(1, 30), pad=st.integers(0, 3))
+    def test_canonical_form(self, a, k, pad):
+        p = Poly(a)
+        cs = [as_gaussian(c) for c in a]
+        den = lcm(*(c.re.denominator for c in cs), *(c.im.denominator for c in cs))
+        scaled = Poly.from_numerators(
+            [int(c.re * den) * k for c in cs], [int(c.im * den) * k for c in cs], den * k
+        )
+        for same in (scaled, Poly(a + [0] * pad), (p * k) / k, p * Fraction(1, k) * k):
+            assert same == p and hash(same) == hash(p)
+            assert (same.lo, same.re, same.im, same.den) == (p.lo, p.re, p.im, p.den)
+        assert _model_agrees(Poly([0] * pad + a), {d + pad: c for d, c in _model(a).items()})
+
+    def test_zero_polynomial(self):
+        for zero in (Poly(), Poly([0, 0]), Poly([GaussianRational(0, 0)]), Poly.zero(), X - X, X * 0,
+                     Poly.monomial(3, 0), Poly.zero() * (X + I)):
+            assert zero == Poly.zero() == 0 and hash(zero) == hash(Poly.zero())
+            assert (zero.lo, zero.re, zero.im, zero.den, zero.degree, zero.coeffs) == (0, (), (), 1, -1, ())
+            assert zero.is_zero()
+
+    @given(a=any_polys)
+    def test_copy_and_pickle(self, a):
+        p = Poly(a)
+        for other in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+            assert type(other) is Poly and other == p and hash(other) == hash(p) and repr(other) == repr(p)
+
+    @pytest.mark.parametrize("p", [Poly.zero(), X + 1, Poly([I, Fraction(1, 2)])], ids=repr)
+    def test_errors(self, p):
+        for zero in (0, Fraction(0), GaussianRational(0), GaussianRational(0, 0)):
+            with pytest.raises(ZeroDivisionError):
+                p / zero
+        for foreign in (0.5, "1", 1j, LaurentPoly({0: 1}), None):
+            for op in (operator.add, operator.sub, operator.mul, operator.truediv):
+                with pytest.raises(TypeError):
+                    op(p, foreign)
+            with pytest.raises(TypeError):
+                p.scale_arg(foreign)
+            assert (p == foreign) is False
+        with pytest.raises(ValueError):
+            Poly.monomial(-1)
+        with pytest.raises(ValueError):
+            p**-1
+
+    @given(a=any_polys)
+    def test_laurent_round_trip(self, a):
+        p = Poly(a)
+        matching = LaurentPoly({k: c for k, c in enumerate(p.coeffs)})
+        assert LaurentPoly.from_poly(p) == matching
+        assert LaurentPoly.from_poly(p).to_poly() == p
+        assert matching.to_poly() == p
+
+    @given(a=any_polys, b=any_polys, rates=st.tuples(rates, rates))
+    def test_exppoly_from_poly_parts(self, a, b, rates):
+        parts = [Poly(a), Poly(b)]
+        laurent = [LaurentPoly({k: c for k, c in enumerate(p.coeffs)}) for p in parts]
+        from_poly, from_laurent = ExpPoly(zip(rates, parts)), ExpPoly(zip(rates, laurent))
+        assert from_poly == from_laurent
+        assert from_poly.derivative() == from_laurent.derivative()
 
 
 # Reference for Poly.eval: Horner over (real, imaginary) pairs of plain
