@@ -167,12 +167,8 @@ def antiderivative_recurrence_report(n_max: int) -> CheckReport:
 # Floating-point evaluation and the quadrature oracle
 # ---------------------------------------------------------------------------
 
-# Start at 40 digits, enough for every sampled request inside the documented
-# domain.  Accept a result once it keeps 20 significant digits (67 bits)
-# above its noise, with 8 bits of slack for the roundings in one value, or
-# once that noise is below 2^-1074, the smallest double.
-_START_PREC = mpmath.libmp.dps_to_prec(40)
-_KEEP_BITS, _SLACK_BITS, _TINY_MAG = 67, 8, -1074
+# 40 digits settle every sampled request in the documented domain; 8 bits of slack cover one value's roundings.
+_START_PREC, _SLACK_BITS = mpmath.libmp.dps_to_prec(40), 8
 
 
 def _mpq(q: Fraction):
@@ -190,12 +186,25 @@ def _value_mp(cf: ClosedForm, x: float, values: list[Fraction]):
     return c + s, abs(c) + abs(s)
 
 
+def _is_exact_zero(cf: ClosedForm, points) -> bool:
+    """Whether the value, a sum of c*e^(rate*x) over Gaussian rationals, is 0: by
+    Lindemann-Weierstrass, iff every c is 0 once equal exponents are merged."""
+    merged = {}
+    for rate, part in lift_closed_form(cf).terms.items():
+        for sign, x in zip((1, -1), map(Fraction, points)):
+            merged[rate * x] = merged.get(rate * x, 0) + sign * part.to_poly().eval(x)
+    return not any(merged.values())
+
+
 def _closed_form_float(cf: ClosedForm, points, what: str) -> float:
     """The double nearest F(x) for points [x], or F(b) - F(a) for [b, a].
 
     Polynomial values are exact rationals (a double is an exact binary
-    rational); the rest is rounded at a working precision that rises with
-    the cancellation, from the magnitudes of the terms against the result.
+    rational); the rest is rounded at precision p, within err = noise *
+    2^(_SLACK_BITS - p) of total.  Rounding is monotone, so once total - err
+    and total + err round to the same double, that is the nearest (Ziv's
+    test); otherwise p doubles.  If the first interval holds 0, the value is
+    tested for an exact zero, which no precision would settle.
     """
     parts = (cf.exp_part,) if cf.kind == "exp" else (cf.cos_part, cf.sin_part)
     exact = [(x, [p.eval(Fraction(x)).re for p in parts]) for x in points]
@@ -203,36 +212,32 @@ def _closed_form_float(cf: ClosedForm, points, what: str) -> float:
     while True:
         with mpmath.workprec(prec):
             at = [_value_mp(cf, x, values) for x, values in exact]
-            total = at[0][0] - at[1][0] if len(at) == 2 else at[0][0]
-            scale = sum(noise for _, noise in at)
-            noise_mag = mpmath.mag(scale) - prec + _SLACK_BITS
-            kept = mpmath.mag(total) - noise_mag
-            if kept >= _KEEP_BITS or noise_mag < _TINY_MAG:
-                break
-            # Raise by the bits missing (double while all noise), up to the noise floor.
-            prec = min(prec + _KEEP_BITS - kept + _SLACK_BITS if kept > 0 else 2 * prec,
-                       prec + noise_mag - _TINY_MAG + 1)
-    out = float(total)
-    if math.isinf(out):
+            total, noise = (at[0][0] - at[1][0], at[0][1] + at[1][1]) if len(at) == 2 else at[0]
+            err = mpmath.ldexp(noise, _SLACK_BITS - prec)
+            lo, hi = float(total - err), float(total + err)
+        if lo == hi:
+            break
+        if prec == _START_PREC and lo <= 0 <= hi and _is_exact_zero(cf, points):
+            return 0.0
+        prec *= 2
+    if math.isinf(hi):
         raise OverflowError(f"{what} overflows double precision")
-    return out
+    return hi if hi else 0.0  # a zero of either sign is 0.0
 
 
 def eval_closed_form(cf: ClosedForm, x: float) -> float:
-    """The antiderivative at a float point, rounded once (see ``definite_integral``)."""
+    """The antiderivative at a float point, correctly rounded (see ``definite_integral``)."""
     return _closed_form_float(cf, [x], "closed form value")
 
 
 def definite_integral(cf: ClosedForm, a: float, b: float) -> float:
-    """Newton-Leibniz on the closed form, F(b) - F(a), rounded once.
+    """Newton-Leibniz on the closed form, F(b) - F(a), correctly rounded.
 
     The antiderivative oscillates with amplitude ~n!, so a double-precision
     difference would lose short intervals to cancellation long before the
-    quadrature oracle does (see ``_closed_form_float``).  An empty interval
-    is exactly 0, which no precision would show.
+    quadrature oracle does (see ``_closed_form_float``, which also settles
+    exact zeros such as an empty interval).
     """
-    if a == b:
-        return 0.0
     return _closed_form_float(cf, [b, a], "definite integral")
 
 

@@ -617,6 +617,63 @@ def test_check_output_is_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest, out
 
 
+# integrate requests outside the benchmark's domain, each pinned by the sha256
+# prefix of its exit code, stdout and stderr, as recorded before the rounding
+# rule of integrals._closed_form_float replaced a tuned noise model.
+EDGE_DIGESTS = [
+    # n = 64 cancellation near 0
+    ("--kind sin --n 64 --a 0 --b 0.001", "880c5239f6e929d3"),
+    ("--kind sin --n 64 --a 0.2516 --b 0.264", "1ba494088755d9f0"),
+    ("--kind cos --n 64 --a 0 --b 0.001", "da206a59ec64bf7a"),
+    ("--kind exp --n 64 --a 0 --b 0.001", "4827824925189796"),
+    ("--kind exp --n 64 --m -1 --a 0 --b 0.01", "e8f6651e52010038"),
+    ("--kind sin --n 63 --a -0.001 --b 0.002", "8d99dfc34eaf6530"),
+    # bounds of ±1e300, with exact zeros and an empty interval among them
+    ("--kind sin --n 64 --a -1e300 --b 1e300", "52f96c26a39ed251"),
+    ("--kind sin --n 1 --a 0 --b 1e300", "31b218bf59976854"),
+    ("--kind cos --n 0 --a -1e300 --b 1e300", "4e72fe4e86d54b31"),
+    ("--kind sin --n 0 --a -1e300 --b 1e300", "52f96c26a39ed251"),
+    ("--kind exp --n 3 --m -1 --a 0 --b 1e300", "df4f9b728b7582d2"),
+    ("--kind exp --n 2 --m -1 --a 1e300 --b 1e300", "52f96c26a39ed251"),
+    ("--kind sin --n 2 --a 1e300 --b -1e300", "52f96c26a39ed251"),
+    # overflow errors
+    ("--kind exp --n 0 --a 0 --b 1e6", "a2d0ae28df397fdb"),
+    ("--kind cos --n 64 --a -1e300 --b 1e300", "a2d0ae28df397fdb"),
+    ("--kind exp --n 5 --m 2 --a 0 --b 400", "a2d0ae28df397fdb"),
+    ("--kind sin --n 64 --a 0 --b 1e10", "a2d0ae28df397fdb"),
+    ("--kind exp --n 0 --m -1 --a -1e300 --b 0", "a2d0ae28df397fdb"),
+    # odd integrands over symmetric intervals
+    ("--kind sin --n 2 --a -3 --b 3", "52f96c26a39ed251"),
+    ("--kind cos --n 1 --a -1 --b 1", "52f96c26a39ed251"),
+    ("--kind cos --n 63 --a -7.5 --b 7.5", "52f96c26a39ed251"),
+    ("--kind sin --n 64 --a -2.5 --b 2.5", "52f96c26a39ed251"),
+    ("--kind sin --n 0 --a -0.1 --b 0.1", "52f96c26a39ed251"),
+    # an endpoint at 0
+    ("--kind sin --n 5 --a 0 --b 2", "a0c5b5f5ba4a11d8"),
+    ("--kind cos --n 3 --a 0 --b 0", "52f96c26a39ed251"),
+    ("--kind exp --n 4 --m 1/2 --a -3 --b 0", "a1f0fdb5f24cb5dc"),
+    ("--kind cos --n 0 --a 0 --b 1e-300", "0af6a5fe2e385bdc"),
+    # subnormal results, and negative ones below the smallest double (printed 0)
+    ("--kind sin --n 0 --a 0 --b 1e-160", "471df7f05ef45a37"),
+    ("--kind cos --n 1 --a 0 --b 1e-160", "471df7f05ef45a37"),
+    ("--kind exp --n 1 --a 0 --b 3e-162", "c71fcb8fca75a1ee"),
+    ("--kind sin --n 1 --a 2e-300 --b 1e-300", "52f96c26a39ed251"),
+    ("--kind sin --n 64 --a 2e-300 --b 1e-300", "52f96c26a39ed251"),
+    # near-symmetric intervals whose integral is not 0
+    ("--kind cos --n 1 --a -1 --b 1.0000000000000002", "5147e8b030d50eae"),
+    ("--kind sin --n 64 --a -2.5 --b 2.5000000000000004", "b7de0fd1ea7ea362"),
+    ("--kind sin --n 2 --a -3.0000000000000004 --b 3", "10149c1d505ae360"),
+    ("--kind sin --n 0 --a -1e300 --b 1.0000000000000002e300", "8a38b6c7f4204bc3"),
+]
+
+
+@pytest.mark.parametrize("request_,digest", EDGE_DIGESTS)
+def test_integrate_edges_are_pinned(capsys, request_, digest):
+    code, out, err = run_cli(capsys, "integrate", *request_.split())
+    printed = f"{code}\n{out}{err}"
+    assert hashlib.sha256(printed.encode()).hexdigest()[:16] == digest, printed
+
+
 SEED_DIGESTS = Path(__file__).resolve().parents[1] / "bench" / "seed_digests.tsv"
 
 

@@ -5,10 +5,13 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from scepoly.cli import main
 from scepoly.families import s_explicit, shat
 from scepoly.integrals import (
+    KINDS,
     ClosedForm,
     antiderivative_recurrence_report,
     check_antiderivative,
@@ -191,6 +194,75 @@ class TestDefiniteIntegral:
     def test_x_exp_x_over_unit_interval(self):
         value = definite_integral(closed_form("exp", 1, 1), 0.0, 1.0)
         assert value == pytest.approx(1.0, abs=1e-12)
+
+
+def _tabular_reference(kind, n, m, a, b):
+    """The double nearest F(b) - F(a), from the tabular antiderivative of x^n e^(mu x),
+
+        e^(mu x) * sum_k (-1)^k n!/(n-k)! x^(n-k) / mu^(k+1),
+
+    with mu = m for exp and mu = i for sin (imaginary part) and cos (real part).
+    It runs at 200 digits, doubled while the cancellation leaves fewer than 100;
+    the rounding goes through an exact Fraction, so a value too large for a
+    double raises OverflowError.
+    """
+    dps = 200
+    while True:
+        with mpmath.workdps(dps):
+            mu = mpmath.mpf(m.numerator) / m.denominator if kind == "exp" else mpmath.mpc(0, 1)
+            terms = []
+            for x, sign in ((mpmath.mpf(b), 1), (mpmath.mpf(a), -1)):
+                e = sign * mpmath.exp(mu * x)
+                terms += [e * ((-1) ** k * math.perm(n, k)) * x ** (n - k) / mu ** (k + 1) for k in range(n + 1)]
+            total = mpmath.fsum(terms)
+            value = total.imag if kind == "sin" else total.real
+            if value and mpmath.mag(value) - max(map(mpmath.mag, terms)) + mpmath.mp.prec >= 333:
+                man, exp = value.man_exp  # the sign is not in man
+                exact = Fraction(man) * Fraction(2) ** exp
+                return float(exact if value > 0 else -exact)
+        dps *= 2
+
+
+@st.composite
+def _integral_requests(draw):
+    """(kind, n, m, a, b) with n <= 64, a in [-1e3, 1e3] and b either -a or
+    within 1e3 of a at a log-uniform width down to 1e-12, in either order."""
+    kind = draw(st.sampled_from(KINDS))
+    m = draw(st.sampled_from(EXP_RATES)) if kind == "exp" else None
+    n = draw(st.integers(0, 64))
+    a = draw(st.floats(-1e3, 1e3))
+    if draw(st.booleans()):
+        return kind, n, m, a, -a
+    width = 10.0 ** draw(st.floats(-12, 3))
+    b = a + width if a + width <= 1e3 else a - width
+    return (kind, n, m, b, a) if draw(st.booleans()) else (kind, n, m, a, b)
+
+
+class TestCorrectRounding:
+    """definite_integral returns exactly the double nearest the integral."""
+
+    @given(request=_integral_requests())
+    @settings(deadline=None, max_examples=200)
+    @example(request=("sin", 64, None, 0.0, 0.001))
+    @example(request=("sin", 64, None, 0.2516, 0.264))
+    @example(request=("cos", 24, None, 0.0, 3.0))
+    @example(request=("exp", 64, Fraction(2), -1e3, 1e3))
+    @example(request=("sin", 64, None, 1e3, -1e3))
+    def test_nearest_double(self, request):
+        kind, n, m, a, b = request
+        cf = closed_form(kind, n, m)
+        if a == b or a == -b and (kind, n % 2) in (("sin", 0), ("cos", 1)):
+            # An empty interval, or an odd integrand over a symmetric one: exactly 0.
+            value = definite_integral(cf, a, b)
+            assert value == 0.0 and math.copysign(1.0, value) == 1.0
+            return
+        try:
+            expected = _tabular_reference(kind, n, m or Fraction(1), a, b)
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                definite_integral(cf, a, b)
+            return
+        assert definite_integral(cf, a, b) == expected
 
 
 class TestQuadrature:
