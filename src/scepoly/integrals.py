@@ -26,7 +26,7 @@ import mpmath
 
 from .families import antideriv_poly_exp, c_from_s, chat, rodrigues_part, s_explicit, shat
 from .poly import ExpPoly, LaurentPoly, Poly
-from .rational import I, as_rate, as_rational
+from .rational import I, ZERO, as_rate, as_rational
 from .report import CheckReport
 
 __all__ = [
@@ -186,25 +186,24 @@ def _value_mp(cf: ClosedForm, x: float, values: list[Fraction]):
     return c + s, abs(c) + abs(s)
 
 
-def _is_exact_zero(cf: ClosedForm, points) -> bool:
-    """Whether the value, a sum of c*e^(rate*x) over Gaussian rationals, is 0: by
-    Lindemann-Weierstrass, iff every c is 0 once equal exponents are merged."""
-    merged = {}
+def _exact_value(cf: ClosedForm, points) -> Optional[Fraction]:
+    """The value if rational, else None.  By Lindemann-Weierstrass a sum of c*e^(rate*x) over Gaussian
+    rationals is rational iff every c at a nonzero exponent is 0 once equal exponents are merged."""
+    merged = {0: ZERO}
     for rate, part in lift_closed_form(cf).terms.items():
         for sign, x in zip((1, -1), map(Fraction, points)):
-            merged[rate * x] = merged.get(rate * x, 0) + sign * part.to_poly().eval(x)
-    return not any(merged.values())
+            merged[rate * x] = merged.get(rate * x, ZERO) + sign * part.to_poly().eval(x)
+    return None if any(c for e, c in merged.items() if e != 0) else merged[0].re
 
 
 def _closed_form_float(cf: ClosedForm, points, what: str) -> float:
     """The double nearest F(x) for points [x], or F(b) - F(a) for [b, a].
 
-    Polynomial values are exact rationals (a double is an exact binary
-    rational); the rest is rounded at precision p, within err = noise *
-    2^(_SLACK_BITS - p) of total.  Rounding is monotone, so once total - err
-    and total + err round to the same double, that is the nearest (Ziv's
-    test); otherwise p doubles.  If the first interval holds 0, the value is
-    tested for an exact zero, which no precision would settle.
+    Polynomial values are exact; the rest is rounded at precision p, within
+    err = noise * 2^(_SLACK_BITS - p) of total.  Rounding is monotone, so once
+    total - err and total + err round to the same double, it is the nearest
+    (Ziv's test); otherwise p doubles.  A rational value (0, or a midpoint) may
+    never settle, so the first unsettled pass looks for one; it is 0 unless a point is 0.
     """
     parts = (cf.exp_part,) if cf.kind == "exp" else (cf.cos_part, cf.sin_part)
     exact = [(x, [p.eval(Fraction(x)).re for p in parts]) for x in points]
@@ -215,10 +214,15 @@ def _closed_form_float(cf: ClosedForm, points, what: str) -> float:
             total, noise = (at[0][0] - at[1][0], at[0][1] + at[1][1]) if len(at) == 2 else at[0]
             err = mpmath.ldexp(noise, _SLACK_BITS - prec)
             lo, hi = float(total - err), float(total + err)
+            if lo == hi and abs(hi) <= sys.float_info.min:  # float() rounds twice there; round to 2^-1074 once
+                lo, hi = (math.ldexp(int(mpmath.nint(v * 2**1074)), -1074) for v in (total - err, total + err))
         if lo == hi:
             break
-        if prec == _START_PREC and lo <= 0 <= hi and _is_exact_zero(cf, points):
-            return 0.0
+        if prec == _START_PREC and (lo <= 0 <= hi or 0 in points):
+            value = _exact_value(cf, points)
+            if value is not None:  # 2^1024 - 2^970 is the least value that rounds to 2^1024
+                hi = float(value) if abs(value) < 2**1024 - 2**970 else math.inf
+                break
         prec *= 2
     if math.isinf(hi):
         raise OverflowError(f"{what} overflows double precision")
@@ -231,13 +235,9 @@ def eval_closed_form(cf: ClosedForm, x: float) -> float:
 
 
 def definite_integral(cf: ClosedForm, a: float, b: float) -> float:
-    """Newton-Leibniz on the closed form, F(b) - F(a), correctly rounded.
-
-    The antiderivative oscillates with amplitude ~n!, so a double-precision
-    difference would lose short intervals to cancellation long before the
-    quadrature oracle does (see ``_closed_form_float``, which also settles
-    exact zeros such as an empty interval).
-    """
+    """Newton-Leibniz on the closed form, F(b) - F(a), correctly rounded by
+    ``_closed_form_float``: a double-precision difference of an antiderivative of
+    amplitude ~n! would lose short intervals to cancellation."""
     return _closed_form_float(cf, [b, a], "definite integral")
 
 

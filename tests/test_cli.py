@@ -664,9 +664,13 @@ EDGE_DIGESTS = [
     ("--kind sin --n 64 --a -2.5 --b 2.5000000000000004", "b7de0fd1ea7ea362"),
     ("--kind sin --n 2 --a -3.0000000000000004 --b 3", "10149c1d505ae360"),
     ("--kind sin --n 0 --a -1e300 --b 1.0000000000000002e300", "8a38b6c7f4204bc3"),
+    # exactly halfway between two doubles: (2^27 - 1)^2 = 2^54 - 2^28 + 1, printed ties-to-even
+    ("--kind exp --n 1 --m 1/134217727 --a 0 --b 134217727", "e9ad2a2ba179c7c1"),
+    ("--kind exp --n 1 --m 1/134217727 --a 134217727 --b 0", "cbfec6467b7d2e27"),
 ]
 
 
+@pytest.mark.usefixtures("deadline")
 @pytest.mark.parametrize("request_,digest", EDGE_DIGESTS)
 def test_integrate_edges_are_pinned(capsys, request_, digest):
     code, out, err = run_cli(capsys, "integrate", *request_.split())

@@ -186,6 +186,14 @@ class TestDefiniteIntegral:
         value = definite_integral(closed_form("sin", 1), 0.0, math.pi)
         assert value == pytest.approx(math.pi, abs=1e-12)
 
+    @pytest.mark.usefixtures("deadline")
+    def test_rational_values_halfway_between_doubles(self):
+        # No precision separates a midpoint from its neighbours; it is found exact and rounded to even.
+        assert eval_closed_form(closed_form("exp", 0, Fraction(1, 2**53 + 1)), 0.0) == 2.0**53
+        cf = closed_form("exp", 1, Fraction(1, 2**27 - 1))  # P(x) = q x - q^2 with q = 2^27 - 1, so P(q) = 0
+        assert definite_integral(cf, 0.0, 2.0**27 - 1) == 2.0**54 - 2.0**28
+        assert definite_integral(cf, 2.0**27 - 1, 0.0) == -(2.0**54 - 2.0**28)
+
     def test_empty_interval(self):
         assert definite_integral(closed_form("cos", 7), 2.5, 2.5) == 0.0
         # e^(1e300) has no double, and no working precision would resolve it.
@@ -248,6 +256,10 @@ class TestCorrectRounding:
     @example(request=("cos", 24, None, 0.0, 3.0))
     @example(request=("exp", 64, Fraction(2), -1e3, 1e3))
     @example(request=("sin", 64, None, 1e3, -1e3))
+    # Subnormal results near a midpoint, where rounding to 53 bits first would pick the even neighbour.
+    @example(request=("sin", 0, None, 2.0**-537, 2.0**-536))
+    @example(request=("cos", 1, None, 2.0**-536, 2.0**-537))
+    @example(request=("sin", 0, None, 3 * 2.0**-537, 2.0**-535))
     def test_nearest_double(self, request):
         kind, n, m, a, b = request
         cf = closed_form(kind, n, m)
