@@ -11,11 +11,16 @@ separately so they can be cross-checked exactly:
 together with the generalized-rate family e_n^(m) (explicit + Rodrigues),
 the sine/cosine families s_n, c_n and their hatted companions, and the
 recurrence groups linking all of them.  All Rodrigues routes (e, e^(m) and
-s) share one derivative, ``rodrigues_part``.
+s) share one derivative, ``rodrigues_sweep``.
+
+The iterated routes are sweeps that yield indices 0..n_max, each iterate
+from the one before; the per-n function is the last element of its sweep,
+so each route has one implementation.
 
 Index convention: every constructor accepts any integer index and returns
 the zero polynomial for a negative one, which is exactly the convention the
-recurrence groups need at their low ends.
+recurrence groups need at their low ends; a sweep to a negative n_max
+yields nothing.
 
 Normalization note for the rate-m family: e_n^(m) satisfies
 (e_n^(m))' + m*e_n^(m) = m^(n+1) * x^n, so e_n^(m) itself is *not* the
@@ -27,15 +32,18 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
+from typing import Iterator
 
-from .poly import LaurentPoly, Poly
+from .poly import LaurentPoly, Poly, _derivative, _int_parts, _make
 from .rational import I, as_rate, as_rational
 from .report import CheckReport
 
 __all__ = [
     "e_explicit",
     "e_recurrence",
+    "e_recurrence_sweep",
     "rodrigues_part",
+    "rodrigues_sweep",
     "e_rodrigues",
     "e_laguerre",
     "laguerre_general",
@@ -69,28 +77,49 @@ def e_explicit(n: int) -> Poly:
     return Poly.from_numerators(coeffs)
 
 
-def e_recurrence(n: int) -> Poly:
-    """e_0 = 1, e_n = x^n - n*e_{n-1}; zero for n < 0."""
-    if n < 0:
-        return Poly.zero()
+def _last(sweep, empty):
+    """The last element of a sweep, or ``empty`` if it yields none."""
+    last = empty
+    for last in sweep:
+        pass
+    return last
+
+
+def e_recurrence_sweep(n_max: int) -> Iterator[Poly]:
+    """e_0, e_1, ..., e_{n_max} by e_0 = 1, e_n = x^n - n*e_{n-1}."""
     p = Poly.one()
-    for k in range(1, n + 1):
-        p = Poly.monomial(k) - k * p
-    return p
+    for n in range(n_max + 1):
+        if n:
+            p = Poly.monomial(n) - n * p
+        yield p
+
+
+def e_recurrence(n: int) -> Poly:
+    """e_n by the recurrence: the last element of ``e_recurrence_sweep(n)``; zero for n < 0."""
+    return _last(e_recurrence_sweep(n), Poly.zero())
+
+
+def rodrigues_sweep(rate, n_max: int) -> Iterator[LaurentPoly]:
+    """``rodrigues_part(rate, n)`` for n = 0..n_max, each by one exact derivative of the one before.
+
+    Each derivative maps p(x) e^(rate x) to (p' + rate*p) e^(rate x), the
+    ``LaurentPoly.derivative(rate)`` kernel on the part p; the rate goes to
+    integer parts once, not once per step.  Callers convert with
+    ``to_poly``, which raises on a negative exponent left over (an
+    implementation bug).
+    """
+    a, b, q = _int_parts(rate)
+    part = LaurentPoly({-1: 1})
+    for n in range(n_max + 1):
+        if n:
+            part = _make(LaurentPoly, *_derivative(part, a, b, q))
+        yield part.shift(n + 1)
 
 
 def rodrigues_part(rate, n: int) -> LaurentPoly:
-    """x^(n+1) e^(-rate x) d^n/dx^n (x^(-1) e^(rate x)), by n exact derivatives.
-
-    Each derivative maps p(x) e^(rate x) to (p' + rate*p) e^(rate x), which
-    is ``LaurentPoly.derivative(rate)`` on the part p; the part after n steps
-    times x^(n+1) is returned.  Callers convert with ``to_poly``, which
-    raises on a negative exponent left over (an implementation bug).
-    """
-    part = LaurentPoly({-1: 1})
-    for _ in range(n):
-        part = part.derivative(rate)
-    return part.shift(n + 1)
+    """x^(n+1) e^(-rate x) d^n/dx^n (x^(-1) e^(rate x)), by n exact derivatives:
+    the last element of ``rodrigues_sweep(rate, n)``; zero for n < 0."""
+    return _last(rodrigues_sweep(rate, n), LaurentPoly())
 
 
 def e_rodrigues(n: int) -> Poly:

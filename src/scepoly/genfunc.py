@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
 
-from .poly import Poly, _as_poly, _mul_into
+from .poly import Poly, _as_poly, _im
 from .rational import I, as_rate, as_rational
 from .report import CheckReport
 
@@ -55,9 +55,9 @@ class FormalSeries:
 
     Arithmetic never consults coefficients beyond the truncation order, and
     mixing different orders is an error rather than a silent re-truncation.
-    A product brings each factor to one common denominator and convolves the
-    integer numerators of each pair of nonzero coefficients whose t-powers fit
-    the order.
+    A product flattens each factor once into its nonzero integer terms over
+    the factor's common denominator, and multiply-adds each pair of terms
+    whose t-powers fit the order straight into the product's rows.
     """
 
     __slots__ = ("coeffs",)
@@ -108,16 +108,20 @@ class FormalSeries:
         if not isinstance(other, FormalSeries):
             return FormalSeries(c * other for c in self.coeffs)
         self._check_order(other)
-        a_den, b_den = lcm(*(c.den for c in self.coeffs)), lcm(*(c.den for c in other.coeffs))
-        a = [(i, c, a_den // c.den) for i, c in enumerate(self.coeffs) if c.re]
-        b = [(j, c, b_den // c.den) for j, c in enumerate(other.coeffs) if c.re]
+        a_den, a = _terms(self.coeffs)
+        b_den, b = _terms(other.coeffs)
+        order = self.order
         width = max(c.degree for c in self.coeffs) + max(c.degree for c in other.coeffs) + 1
         re, im = [[0] * width for _ in self.coeffs], [[0] * width for _ in self.coeffs]
-        for i, ca, fa in a:
-            for j, cb, fb in b:
-                if i + j > self.order:
+        for i, d, ar, ai in a:
+            for j, e, br, bi in b:  # ascending in t, so the first j past the order ends the row
+                if i + j > order:
                     break
-                _mul_into(re[i + j], im[i + j], ca, cb, fa * fb, ca.lo + cb.lo)
+                if ai or bi:
+                    re[i + j][d + e] += ar * br - ai * bi
+                    im[i + j][d + e] += ar * bi + ai * br
+                else:
+                    re[i + j][d + e] += ar * br
         return FormalSeries(Poly.from_numerators(r, i, a_den * b_den) for r, i in zip(re, im))
 
     __rmul__ = __mul__
@@ -133,6 +137,17 @@ class FormalSeries:
 
     def __repr__(self) -> str:
         return f"FormalSeries(order={self.order})"
+
+
+def _terms(coeffs) -> tuple[int, list]:
+    """(den, terms): den is the lcm of the coefficients' denominators, and terms the
+    (t-power, x-power, re, im) of each nonzero numerator over den, ascending in t."""
+    den = lcm(*(c.den for c in coeffs))
+    terms = []
+    for i, c in enumerate(coeffs):
+        f = den // c.den
+        terms += [(i, k, r * f, s * f) for k, (r, s) in enumerate(zip(c.re, _im(c)), c.lo) if r or s]
+    return den, terms
 
 
 # ---------------------------------------------------------------------------

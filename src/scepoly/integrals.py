@@ -20,11 +20,11 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import mpmath
 
-from .families import antideriv_poly_exp, c_from_s, chat, rodrigues_part, s_explicit, shat
+from .families import _last, antideriv_poly_exp, c_from_s, chat, rodrigues_sweep, s_explicit, shat
 from .poly import ExpPoly, LaurentPoly, Poly
 from .rational import I, ZERO, as_rate, as_rational
 from .report import CheckReport
@@ -35,6 +35,7 @@ __all__ = [
     "closed_form",
     "check_antiderivative",
     "s_rodrigues",
+    "s_rodrigues_sweep",
     "eval_closed_form",
     "definite_integral",
     "quad_adaptive",
@@ -118,18 +119,23 @@ def check_antiderivative(cf: ClosedForm) -> bool:
     return lift_closed_form(cf).derivative() == lift_integrand(cf.kind, cf.n, cf.m)
 
 
-def s_rodrigues(n: int) -> Poly:
-    """s_n from the complex-exponential weight-derivative route:
+def s_rodrigues_sweep(n_max: int) -> Iterator[Poly]:
+    """s_0, s_1, ..., s_{n_max} from the complex-exponential weight-derivative route:
 
     s_n(x) = (-i^n/2) x^(n+1) [ (-1)^n e^(-ix) d^n/dx^n (x^(-1) e^(ix))
                                + e^(ix)  d^n/dx^n (x^(-1) e^(-ix)) ],
 
-    a combination of the Rodrigues parts at rates i and -i that must be real.
+    a combination of the Rodrigues parts at rates i and -i that must be real,
+    taken from one ``rodrigues_sweep`` at each rate.
     """
-    if n < 0:
-        return Poly.zero()
-    combo = rodrigues_part(I, n) * ((-1) ** n) + rodrigues_part(-I, n)
-    return (combo * (-(I**n) / 2)).to_poly().require_real("s_rodrigues")
+    for n, (plus, minus) in enumerate(zip(rodrigues_sweep(I, n_max), rodrigues_sweep(-I, n_max))):
+        combo = plus * ((-1) ** n) + minus
+        yield (combo * (-(I**n) / 2)).to_poly().require_real("s_rodrigues")
+
+
+def s_rodrigues(n: int) -> Poly:
+    """s_n by the weight-derivative route: the last element of ``s_rodrigues_sweep(n)``; zero for n < 0."""
+    return _last(s_rodrigues_sweep(n), Poly.zero())
 
 
 def antiderivative_recurrence_report(n_max: int) -> CheckReport:
@@ -169,6 +175,8 @@ def antiderivative_recurrence_report(n_max: int) -> CheckReport:
 
 # 40 digits settle every sampled request in the documented domain; 8 bits of slack cover one value's roundings.
 _START_PREC, _SLACK_BITS = mpmath.libmp.dps_to_prec(40), 8
+# Half the least subnormal: a value no larger in magnitude rounds to 0.
+_HALF_TINIEST = Fraction(1, 2**1075)
 
 
 def _mpq(q: Fraction):
@@ -196,6 +204,19 @@ def _exact_value(cf: ClosedForm, points) -> Optional[Fraction]:
     return None if any(c for e, c in merged.items() if e != 0) else merged[0].re
 
 
+def _rounds_to_zero(cf: ClosedForm, b: float, a: float) -> bool:
+    """True if |F(b) - F(a)| <= |b - a| * max(|a|, |b|)^n * G <= 2^-1075, where G bounds the
+    basis on [a, b]: 1 for sin and cos, 3^ceil(max(0, m*a, m*b)) for e^(mx), as e < 3."""
+    a, b = Fraction(a), Fraction(b)
+    bound = abs(b - a) * max(abs(a), abs(b)) ** cf.n
+    if cf.kind == "exp" and 0 < bound <= _HALF_TINIEST:
+        k = math.ceil(max(0, cf.m * a, cf.m * b))
+        if k >= (_HALF_TINIEST // bound).bit_length():  # 3^k > 2^k > 2^-1075/bound; 3^k may be vast
+            return False
+        bound *= 3**k
+    return bound <= _HALF_TINIEST
+
+
 def _closed_form_float(cf: ClosedForm, points, what: str) -> float:
     """The double nearest F(x) for points [x], or F(b) - F(a) for [b, a].
 
@@ -204,6 +225,8 @@ def _closed_form_float(cf: ClosedForm, points, what: str) -> float:
     total - err and total + err round to the same double, it is the nearest
     (Ziv's test); otherwise p doubles.  A rational value (0, or a midpoint) may
     never settle, so the first unsettled pass looks for one; it is 0 unless a point is 0.
+    A nonzero value far below the smallest double settles only near 2,000 bits, so that
+    pass first returns 0.0 for an integral whose size bound rounds to 0.
     """
     parts = (cf.exp_part,) if cf.kind == "exp" else (cf.cos_part, cf.sin_part)
     exact = [(x, [p.eval(Fraction(x)).re for p in parts]) for x in points]
@@ -218,8 +241,11 @@ def _closed_form_float(cf: ClosedForm, points, what: str) -> float:
                 lo, hi = (math.ldexp(int(mpmath.nint(v * 2**1074)), -1074) for v in (total - err, total + err))
         if lo == hi:
             break
-        if prec == _START_PREC and (lo <= 0 <= hi or 0 in points):
-            value = _exact_value(cf, points)
+        if prec == _START_PREC:
+            if len(points) == 2 and _rounds_to_zero(cf, *points):
+                hi = 0.0
+                break
+            value = _exact_value(cf, points) if lo <= 0 <= hi or 0 in points else None
             if value is not None:  # 2^1024 - 2^970 is the least value that rounds to 2^1024
                 hi = float(value) if abs(value) < 2**1024 - 2**970 else math.inf
                 break

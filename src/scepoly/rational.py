@@ -57,10 +57,12 @@ class GaussianRational:
 
     ``re`` and ``im`` are always Fractions.  A zero imaginary part is always
     the one shared Fraction ``_REAL``, so "is this value real" is an identity
-    test; the constructors below keep that invariant.
+    test; the constructors below keep that invariant.  ``_hash`` is unset
+    until the first ``__hash__`` call stores the hash there, so arithmetic
+    does not pay for it and rates used as dict keys hash their Fractions once.
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("re", "im", "_hash")
 
     def __init__(self, re, im=_REAL):
         object.__setattr__(self, "re", as_rational(re))
@@ -178,11 +180,14 @@ class GaussianRational:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        # A real value hashes as its real part, as complex does, so that
-        # equal ints and Fractions find it in sets and dicts.
-        if self.im is _REAL:
-            return hash(self.re)
-        return hash((self.re, self.im))
+        try:
+            return self._hash
+        except AttributeError:
+            # A real value hashes as its real part, as complex does, so that
+            # equal ints and Fractions find it in sets and dicts.
+            h = hash(self.re) if self.im is _REAL else hash((self.re, self.im))
+            _set_hash(self, h)
+            return h
 
     def __repr__(self) -> str:
         if self.im is _REAL:
@@ -193,6 +198,7 @@ class GaussianRational:
 _new = object.__new__
 _set_re = GaussianRational.re.__set__
 _set_im = GaussianRational.im.__set__
+_set_hash = GaussianRational._hash.__set__
 
 
 def _value(re: Fraction, im: Fraction = _REAL) -> GaussianRational:

@@ -12,17 +12,19 @@ from scepoly.families import (
     e_explicit,
     e_laguerre,
     e_recurrence,
+    e_recurrence_sweep,
     e_rodrigues,
     em_explicit,
     em_rodrigues,
     family_poly,
     laguerre_general,
     rodrigues_part,
+    rodrigues_sweep,
     s_explicit,
     s_from_e,
     shat,
 )
-from scepoly.poly import ExpPoly, Poly
+from scepoly.poly import ExpPoly, LaurentPoly, Poly
 from scepoly.rational import I
 
 X = Poly.x()
@@ -165,6 +167,25 @@ class TestRodriguesPart:
                 for l in range(n + 1)
             )
             assert rodrigues_part(rate, n).to_poly() == expected
+
+
+class TestSweeps:
+    """Each sweep's iterate at n is the per-n function's value."""
+
+    @pytest.mark.parametrize("rate", [1, 2, -1, Fraction(1, 2), Fraction(-5, 3), I, -I])
+    def test_rodrigues_sweep_matches_per_n(self, rate):
+        assert list(rodrigues_sweep(rate, 40)) == [rodrigues_part(rate, n) for n in range(41)]
+
+    def test_recurrence_sweep_matches_per_n(self):
+        assert list(e_recurrence_sweep(40)) == [e_recurrence(n) for n in range(41)]
+
+    def test_negative_n_max(self):
+        # A sweep to a negative index yields nothing; the per-n functions give zero there.
+        for n in (-1, -3):
+            assert list(e_recurrence_sweep(n)) == []
+            assert list(rodrigues_sweep(I, n)) == []
+            assert e_recurrence(n) == Poly.zero()
+            assert rodrigues_part(2, n) == LaurentPoly()
 
 
 class TestEmFamily:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from scepoly import integrals
 from scepoly.cli import main
 from scepoly.families import s_explicit, shat
 from scepoly.integrals import (
@@ -22,6 +23,7 @@ from scepoly.integrals import (
     lift_closed_form,
     quad_adaptive,
     s_rodrigues,
+    s_rodrigues_sweep,
 )
 from scepoly.poly import Poly
 
@@ -97,6 +99,10 @@ class TestSRodrigues:
 
     def test_negative_index(self):
         assert s_rodrigues(-2).is_zero()
+        assert list(s_rodrigues_sweep(-2)) == []
+
+    def test_sweep_matches_per_n(self):
+        assert list(s_rodrigues_sweep(40)) == [s_rodrigues(n) for n in range(41)]
 
 
 class TestParity:
@@ -260,6 +266,11 @@ class TestCorrectRounding:
     @example(request=("sin", 0, None, 2.0**-537, 2.0**-536))
     @example(request=("cos", 1, None, 2.0**-536, 2.0**-537))
     @example(request=("sin", 0, None, 3 * 2.0**-537, 2.0**-535))
+    # A value far below the least subnormal is 0 at the first pass; one near 1e-300 is not.
+    @example(request=("sin", 64, None, 1e-300, 2e-300))
+    @example(request=("cos", 0, None, 1e-300, 2e-300))
+    # (b - a) * b^n is 2^-1086, but e^(mx) reaches e^8 and the value is 5e-324: the bound must count it.
+    @example(request=("exp", 64, Fraction(2**19), 2.0**-16 - 2.0**-62, 2.0**-16))
     def test_nearest_double(self, request):
         kind, n, m, a, b = request
         cf = closed_form(kind, n, m)
@@ -275,6 +286,15 @@ class TestCorrectRounding:
                 definite_integral(cf, a, b)
             return
         assert definite_integral(cf, a, b) == expected
+
+    def test_tiny_value_settles_at_the_first_pass(self, monkeypatch):
+        # Without the size bound this value, about 1e-19782, settles only at 2,176 bits.
+        points = []
+        value_mp = integrals._value_mp
+        monkeypatch.setattr(integrals, "_value_mp", lambda cf, x, values: points.append(x) or value_mp(cf, x, values))
+        for a, b in ((1e-300, 2e-300), (2e-300, 1e-300)):
+            assert definite_integral(closed_form("sin", 64), a, b) == 0.0
+        assert points == [2e-300, 1e-300, 1e-300, 2e-300]
 
 
 class TestQuadrature:

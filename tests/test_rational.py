@@ -1,4 +1,6 @@
+import copy
 import operator
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -199,7 +201,8 @@ class TestHashEq:
     def test_real_value_hashes_as_its_real_part(self, q):
         z = GaussianRational(q)
         assert z == q and q == z
-        assert hash(z) == hash(q) == hash(Fraction(q))
+        for value in (z, z, copy.copy(z), pickle.loads(pickle.dumps(z))):  # the first hash is stored
+            assert hash(value) == hash(q) == hash(Fraction(q))
         assert z in {q} and q in {z}
         assert {q: "q"}[z] == "q" and {z: "z"}[q] == "z"
 
@@ -216,6 +219,14 @@ class TestHashEq:
     def test_equal_values_hash_equal(self, a, b):
         assert (a == b) == (_parts(a) == _parts(b))
         if a == b:
-            assert hash(a) == hash(b)
+            assert hash(a) == hash(b) == hash(b)
         assert GaussianRational(a.re, a.im) == a
-        assert hash(GaussianRational(a.re, a.im)) == hash(a)
+        for value in (a, GaussianRational(a.re, a.im), copy.copy(a), pickle.loads(pickle.dumps(a))):
+            assert hash(value) == hash(value) == hash(a)
+
+    def test_stored_hash_cannot_be_assigned(self):
+        z = GaussianRational(1, 2)
+        hash(z)
+        for value in (z, GaussianRational(3)):
+            with pytest.raises(AttributeError):
+                value._hash = 0
