@@ -69,21 +69,16 @@ def _term_latex(p: int, q: int, k: int) -> str:
 
 
 def _join_signed(pieces: list[str]) -> str:
-    if not pieces:
-        return "0"
-    out = pieces[0]
-    for piece in pieces[1:]:
-        if piece.startswith("-"):
-            out += " - " + piece[1:]
-        else:
-            out += " + " + piece
-    return out
+    """Text pieces joined by ' + ', or by ' - ' before a piece that starts with '-' (no piece holds ' + -')."""
+    return " + ".join(pieces).replace(" + -", " - ") if pieces else "0"
 
 
 def _parts(p: Poly) -> list[tuple[int, int, int, int]]:
     """(re_num, re_den, im_num, im_den) in lowest terms for x^0 .. x^degree, read once from p's numerators."""
     out, den = [(0, 1, 0, 1)] * p.lo, p.den
-    for r, i in zip(p.re, p.im or (0,) * len(p.re)):
+    if not p.im:
+        return out + [(r // g, den // g, 0, 1) for r in p.re for g in (gcd(r, den) if den != 1 else 1,)]
+    for r, i in zip(p.re, p.im):
         g, h = gcd(r, den), gcd(i, den)
         out.append((r // g, den // g, i // h, den // h))
     return out
@@ -93,12 +88,16 @@ def _signed_terms(p: Poly, fmt: str, magnitude) -> str:
     """Nonzero real terms of p, highest power first, as sign and ``magnitude(|num|, den, k)``."""
     if p.im:
         raise ValueError(f"{fmt} rendering expects real coefficients")
-    pieces = []
-    for k, (num, den, _, _) in reversed(list(enumerate(_parts(p)))):
+    if not p.re:
+        return "0"
+    den, k, out = p.den, p.lo + len(p.re), []
+    for num in reversed(p.re):
+        k -= 1
         if num:
-            mag = magnitude(abs(num), den, k)
-            pieces.append(f"-{mag}" if num < 0 else mag)
-    return _join_signed(pieces)
+            g = gcd(num, den) if den != 1 else 1
+            out += (" - " if num < 0 else " + ", magnitude(abs(num) // g, den // g, k))
+    out[0] = "-" if p.re[-1] < 0 else ""  # the leading numerator is nonzero
+    return "".join(out)
 
 
 def render_poly_text(p: Poly) -> str:
@@ -113,7 +112,7 @@ def render_poly_latex(p: Poly) -> str:
 
 def _json_coeffs(p: Poly) -> list[dict[str, str]]:
     # As str(Fraction) prints them: "p/q", or "p" when q is 1.
-    return [{"re": f"{rn}/{rd}".removesuffix("/1"), "im": f"{im}/{idn}".removesuffix("/1")}
+    return [{"re": f"{rn}/{rd}" if rd != 1 else str(rn), "im": f"{im}/{idn}" if idn != 1 else str(im)}
             for rn, rd, im, idn in _parts(p)]
 
 
@@ -160,10 +159,8 @@ def series_to_csv(fs: genfunc.FormalSeries) -> str:
 
 def _times_basis(p: Poly, basis: str) -> str:
     """Nonzero p times a basis element, in text: 'x t^2', '-cos x', '(x - 1) e^x'."""
-    if p == Poly.one():
-        return basis
-    if p == -Poly.one():
-        return "-" + basis
+    if p.re in ((1,), (-1,)) and not (p.lo or p.im) and p.den == 1:
+        return basis if p.re[0] == 1 else "-" + basis
     text = render_poly_text(p)
     # The canonical form strips zeros at both ends: one numerator is one term.
     return f"{text} {basis}" if len(p.re) == 1 else f"({text}) {basis}"
@@ -400,15 +397,27 @@ def _parser() -> argparse.ArgumentParser:
 
     Parsing keeps no state in the parser, so every call to ``main`` can share
     it; help text is still formatted, at the terminal's width, when asked for.
-    The ``cmd_*`` handlers are bound when it is built: code that replaces them
-    must do so before the first call to ``main``.
+    ``main`` parses a request with its verb's subparser, read from this parser's
+    verb table; leftovers, "--" or a first word that is not a verb go to the full
+    parser, so messages and exit codes are unchanged.  The ``cmd_*`` handlers are
+    bound when it is built: code that replaces them must do so before the first call to ``main``.
     """
     return build_parser()
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    parser = _parser()
+    verbs = parser._subparsers._group_actions[0].choices  # {verb: subparser}, argparse keeps no public handle
+    if argv and argv[0] in verbs and "--" not in argv:
+        args, rest = verbs[argv[0]].parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(_attach_signed_values(sys.argv[1:] if argv is None else argv))
+        args = _parse(_attach_signed_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -217,6 +217,13 @@ def _rounds_to_zero(cf: ClosedForm, b: float, a: float) -> bool:
     return bound <= _HALF_TINIEST
 
 
+def _may_round_to_zero(cf: ClosedForm, b: float, a: float) -> bool:
+    """False when the bound of ``_rounds_to_zero`` is surely above 2^-1075, read from float exponents with
+    75 bits to spare: |x| >= 2^(e - 1) where frexp(x) = (f, e), x != 0, and G >= 2^max(0, m*a, m*b)."""
+    low = (math.frexp(b - a)[1] - 1 if b != a else -math.inf) + cf.n * (math.frexp(max(abs(a), abs(b)))[1] - 1)
+    return low + (max(0, cf.m * Fraction(a), cf.m * Fraction(b)) if cf.kind == "exp" else 0) <= -1000
+
+
 def _closed_form_float(cf: ClosedForm, points, what: str) -> float:
     """The double nearest F(x) for points [x], or F(b) - F(a) for [b, a].
 
@@ -225,9 +232,11 @@ def _closed_form_float(cf: ClosedForm, points, what: str) -> float:
     total - err and total + err round to the same double, it is the nearest
     (Ziv's test); otherwise p doubles.  A rational value (0, or a midpoint) may
     never settle, so the first unsettled pass looks for one; it is 0 unless a point is 0.
-    A nonzero value far below the smallest double settles only near 2,000 bits, so that
-    pass first returns 0.0 for an integral whose size bound rounds to 0.
+    A nonzero value far below the smallest double settles only near 2,000 bits, so an
+    integral whose size bound rounds to 0 is 0.0 before any polynomial value is computed.
     """
+    if len(points) == 2 and _may_round_to_zero(cf, *points) and _rounds_to_zero(cf, *points):
+        return 0.0
     parts = (cf.exp_part,) if cf.kind == "exp" else (cf.cos_part, cf.sin_part)
     exact = [(x, [p.eval(Fraction(x)).re for p in parts]) for x in points]
     prec = _START_PREC
@@ -242,9 +251,6 @@ def _closed_form_float(cf: ClosedForm, points, what: str) -> float:
         if lo == hi:
             break
         if prec == _START_PREC:
-            if len(points) == 2 and _rounds_to_zero(cf, *points):
-                hi = 0.0
-                break
             value = _exact_value(cf, points) if lo <= 0 <= hi or 0 in points else None
             if value is not None:  # 2^1024 - 2^970 is the least value that rounds to 2^1024
                 hi = float(value) if abs(value) < 2**1024 - 2**970 else math.inf

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from math import factorial
 from pathlib import Path
 from unittest import mock
@@ -14,21 +15,27 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scepoly import cli
+from scepoly import cli, integrals
 from scepoly.cli import (
+    _attach_signed_values,
     build_parser,
     main,
     poly_from_json,
+    poly_to_csv,
     poly_to_json,
     render_closed_form_text,
     render_poly_latex,
     render_poly_text,
+    render_series_latex,
     render_series_text,
+    series_to_csv,
+    series_to_json,
 )
 from scepoly.families import e_explicit, em_explicit, family_poly, s_explicit
-from scepoly.genfunc import series_C, series_S
-from scepoly.integrals import closed_form
+from scepoly.genfunc import FormalSeries, series_C, series_S
+from scepoly.integrals import ClosedForm, closed_form
 from scepoly.poly import Poly
+from scepoly.rational import GaussianRational
 
 X = Poly.x()
 
@@ -152,6 +159,141 @@ class TestRenderers:
             render_closed_form_text(closed_form("exp", 0, Fraction(-1)))
             == "-e^(-x) + C"
         )
+
+
+def _ref_poly(p: Poly, latex: bool = False) -> str:
+    """render_poly_text (or _latex) from the Fractions of p.coeffs, highest power first."""
+    terms = []
+    for k, c in reversed(list(enumerate(p.coeffs))):
+        if c.im:
+            raise ValueError("imaginary coefficient")
+        if c.re:
+            num, den = abs(c.re).numerator, abs(c.re).denominator
+            xs = "" if k == 0 else "x" if k == 1 else f"x^{{{k}}}" if latex else f"x^{k}"
+            if latex and den != 1:
+                mag = rf"\frac{{{num}}}{{{den}}}" + (f" {xs}" if xs else "")
+            else:
+                mag = (xs if num == 1 and k else f"{num}{xs}") + (f"/{den}" if den != 1 else "")
+            terms.append(("-" if c.re < 0 else "", mag))
+    return _ref_join([sign + mag for sign, mag in terms])
+
+
+def _ref_join(pieces: list[str]) -> str:
+    if not pieces:
+        return "0"
+    return pieces[0] + "".join(" - " + p[1:] if p.startswith("-") else " + " + p for p in pieces[1:])
+
+
+def _ref_times(p: Poly, basis: str) -> str:
+    coeffs = [c for c in p.coeffs if c]
+    if p.coeffs in ((1,), (-1,)):
+        return basis if p.coeffs[0] == 1 else "-" + basis
+    return f"{_ref_poly(p)} {basis}" if len(coeffs) == 1 else f"({_ref_poly(p)}) {basis}"
+
+
+def _ref_t(k: int, latex: bool = False) -> str:
+    return "t" if k == 1 else f"t^{{{k}}}" if latex else f"t^{k}"
+
+
+def _ref_json_coeffs(p: Poly) -> list:
+    return [{"re": str(c.re), "im": str(c.im)} for c in p.coeffs]
+
+
+def _ref_csv_rows(p: Poly, prefix: str = "") -> list[str]:
+    return [
+        f"{prefix}{k},{c.re.numerator},{c.re.denominator},{c.im.numerator},{c.im.denominator}"
+        for k, c in enumerate(p.coeffs)
+    ]
+
+
+NUMERATORS = st.just(0) | st.integers(-300, 300) | st.integers(-10**40, 10**40)
+
+
+@st.composite
+def render_polys(draw, gaussian=False):
+    """A single term +-x^k (+-1 at k = 0), or numerators over one denominator up to 60
+    from x^lo, lo in 0..3, with zeros inside; imaginary numerators too if ``gaussian``."""
+    if draw(st.integers(0, 3)) == 0:
+        return Poly.monomial(draw(st.integers(0, 5)), draw(st.sampled_from([1, -1])))
+    lo = draw(st.integers(0, 3))
+    den = draw(st.integers(1, 60))
+    re = draw(st.lists(NUMERATORS, max_size=8))
+    im = draw(st.lists(NUMERATORS, min_size=len(re), max_size=len(re))) if gaussian else [0] * len(re)
+    return Poly([0] * lo + [GaussianRational(Fraction(a, den), Fraction(b, den)) for a, b in zip(re, im)])
+
+
+RATES_Q = st.fractions(min_value=-7, max_value=7, max_denominator=9).filter(bool)
+
+
+class TestRenderersMatchReference:
+    """Every renderer equals a reference that formats the Fractions of Poly.coeffs directly."""
+
+    @given(p=render_polys(), n=st.integers(0, 64), m=st.none() | RATES_Q)
+    @settings(deadline=None, max_examples=300)
+    @example(p=Poly.zero(), n=0, m=None)
+    @example(p=Poly.one(), n=0, m=None)
+    @example(p=-Poly.x() ** 3, n=1, m=Fraction(-5, 3))
+    @example(p=Poly([0, 0, 0, Fraction(1, 60), 0, 0, Fraction(-7, 60)]), n=2, m=None)
+    def test_poly(self, p, n, m):
+        assert render_poly_text(p) == _ref_poly(p)
+        assert render_poly_latex(p) == _ref_poly(p, latex=True)
+        self.check_exports(p, n, m)
+
+    @given(p=render_polys(gaussian=True), n=st.integers(0, 64), m=st.none() | RATES_Q)
+    @settings(deadline=None, max_examples=100)
+    @example(p=Poly([GaussianRational(0, 1)]), n=0, m=None)
+    def test_gaussian_poly(self, p, n, m):
+        if any(c.im for c in p.coeffs):
+            for render in (render_poly_text, render_poly_latex):
+                with pytest.raises(ValueError):
+                    render(p)
+        self.check_exports(p, n, m)
+
+    @staticmethod
+    def check_exports(p, n, m):
+        doc = {"family": "em", "n": n, **({"m": str(m)} if m is not None else {}), "coeffs": _ref_json_coeffs(p)}
+        assert poly_to_json("em", n, p, m) == json.dumps(doc, separators=(",", ":"))
+        assert poly_to_csv(p) == "\n".join(["degree,re_num,re_den,im_num,im_den", *_ref_csv_rows(p)])
+
+    @given(coeffs=st.lists(render_polys(), min_size=1, max_size=5), m=st.none() | RATES_Q)
+    @settings(deadline=None, max_examples=200)
+    @example(coeffs=[Poly.zero(), Poly.one(), -Poly.one(), Poly.x(), Poly([1, 1])], m=None)
+    @example(coeffs=[Poly.one(), Poly.constant(Fraction(1, 3)), Poly.constant(Fraction(-1, 2))], m=None)
+    def test_series(self, coeffs, m):
+        fs = FormalSeries(coeffs)
+        text = [_ref_poly(c) if k == 0 else _ref_times(c, _ref_t(k)) for k, c in enumerate(coeffs) if not c.is_zero()]
+        assert render_series_text(fs) == _ref_join(text)
+        latex = [
+            _ref_poly(c, latex=True) if k == 0
+            else rf"\left({_ref_poly(c, latex=True)}\right) {_ref_t(k, latex=True)}"
+            for k, c in enumerate(coeffs) if not c.is_zero()
+        ]
+        assert render_series_latex(fs) == (" + ".join(latex) or "0")
+        order = len(coeffs) - 1
+        doc = {"family": "e", "order": order, **({"m": str(m)} if m is not None else {}),
+               "coeffs": [_ref_json_coeffs(c) for c in coeffs]}
+        assert series_to_json("e", order, fs, m) == json.dumps(doc, separators=(",", ":"))
+        rows = [row for k, c in enumerate(coeffs) for row in _ref_csv_rows(c, f"{k},")]
+        assert series_to_csv(fs) == "\n".join(["t_power,degree,re_num,re_den,im_num,im_den", *rows])
+
+    @given(kind=st.sampled_from(["sin", "cos", "exp"]), first=render_polys(), second=render_polys(), m=RATES_Q)
+    @settings(deadline=None, max_examples=200)
+    @example(kind="exp", first=-Poly.one(), second=Poly.zero(), m=Fraction(-1))
+    @example(kind="sin", first=Poly.zero(), second=Poly.zero(), m=Fraction(1))
+    @example(kind="cos", first=Poly.constant(Fraction(-1, 2)), second=Poly.monomial(2, Fraction(1, 3)), m=Fraction(1))
+    def test_closed_form(self, kind, first, second, m):
+        if kind == "exp":
+            cf = ClosedForm("exp", 0, m, exp_part=first)
+            exponent = "x" if m == 1 else f"({_ref_poly(Poly([0, m]))})"
+            terms = [(first, f"e^{exponent}")]
+        elif kind == "sin":
+            cf = ClosedForm("sin", 0, cos_part=first, sin_part=second)
+            terms = [(first, "cos x"), (second, "sin x")]
+        else:
+            cf = ClosedForm("cos", 0, sin_part=first, cos_part=second)
+            terms = [(first, "sin x"), (second, "cos x")]
+        expected = _ref_join([_ref_times(p, basis) for p, basis in terms if not p.is_zero()]) + " + C"
+        assert render_closed_form_text(cf) == expected
 
 
 def _decimal(k: int) -> str:
@@ -584,6 +726,50 @@ class TestParserReuse:
             assert cold[0] == 1
 
 
+def run_full_parser(argv):
+    """run_quiet(argv), but parsed by a fresh parser's parse_args and run by the handler it sets."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {"SCE_MAX_N": "6"}):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                args = build_parser().parse_args(_attach_signed_values(argv))
+                code = args.func(args)
+            except SystemExit as exc:
+                code = exc.code if isinstance(exc.code, int) else 2
+            except (ValueError, OverflowError) as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                code = 2
+    return code, out.getvalue(), err.getvalue()
+
+
+JUNK = st.sampled_from(["extra", "--", "--bogus", "-5", "--n", "poly"])
+
+
+class TestVerbParsing:
+    """main parses with the verb's own parser, and answers every argv as the full parser does."""
+
+    @given(argv=cli_argvs(), tail=st.lists(JUNK, max_size=2))
+    @settings(deadline=None, max_examples=150)
+    @example(argv="poly e --n 2 extra".split(), tail=[])
+    @example(argv="poly e --n 1 -- x".split(), tail=[])
+    @example(argv="poly -- e --n 1".split(), tail=[])
+    @example(argv="poly -h".split(), tail=[])
+    @example(argv=[], tail=[])
+    @example(argv=["-h"], tail=[])
+    @example(argv=["nope"], tail=[])
+    @example(argv="integrate --kind sin --n 1 --bogus".split(), tail=[])
+    @example(argv="genfunc --family e --order 2 --format json".split(), tail=[])
+    def test_main_matches_the_full_parser(self, argv, tail):
+        argv = argv + tail
+        assert run_quiet(argv) == run_full_parser(argv)
+
+    def test_leftovers_get_the_full_parsers_usage(self):
+        code, out, err = run_quiet(["poly", "e", "--n", "2", "extra"])
+        assert (code, out) == (2, "")
+        assert err.splitlines()[0] == "usage: scepoly [-h] {poly,integrate,verify,genfunc} ..."
+        assert err.splitlines()[-1] == "scepoly: error: unrecognized arguments: extra"
+
+
 def check_argvs(seed=8, count=20):
     """Seeded integrate --check requests over the documented domain: n <= 12, bounds in [-10, 10]."""
     rng = random.Random(seed)
@@ -615,6 +801,37 @@ def test_check_output_is_pinned(capsys, argv, digest):
     assert (code, err) == (0, "")
     assert out.endswith(": PASS\n")
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest, out
+
+
+def test_check_requests_never_reach_the_exact_size_bound(capsys, monkeypatch):
+    def exact_bound(*args):
+        raise AssertionError(f"exact size bound reached for {args}")
+
+    monkeypatch.setattr(integrals, "_rounds_to_zero", exact_bound)
+    for argv, digest in zip(check_argvs(), CHECK_DIGESTS):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest, out
+
+
+def test_tiny_integral_needs_no_polynomial_value(capsys, monkeypatch):
+    decided = []
+    rounds_to_zero = integrals._rounds_to_zero
+
+    def spy(*args):
+        decided.append(rounds_to_zero(*args))
+        return decided[-1]
+
+    monkeypatch.setattr(integrals, "_rounds_to_zero", spy)
+    with mock.patch.object(Poly, "eval", side_effect=AssertionError("a polynomial value was computed")):
+        for a, b in (("1e-300", "2e-300"), ("2e-300", "1e-300")):
+            assert run_cli(capsys, "integrate", "--kind", "sin", "--n", "64", "--a", a, "--b", b) == (0, "0\n", "")
+    # x^0 cos x over the same interval is not screened; x cos x over [0, 1e-160] is, and the exact bound rejects it.
+    assert run_cli(capsys, "integrate", "--kind", "cos", "--n", "0", "--a", "1e-300", "--b", "2e-300") == (
+        0, "1e-300\n", "")
+    assert run_cli(capsys, "integrate", "--kind", "cos", "--n", "1", "--a", "0", "--b", "1e-160") == (
+        0, "4.999944335913415e-321\n", "")
+    assert decided == [True, True, False]
 
 
 # integrate requests outside the benchmark's domain, each pinned by the sha256

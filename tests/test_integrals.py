@@ -287,14 +287,18 @@ class TestCorrectRounding:
             return
         assert definite_integral(cf, a, b) == expected
 
-    def test_tiny_value_settles_at_the_first_pass(self, monkeypatch):
+    def test_tiny_value_is_zero_before_any_pass(self, monkeypatch):
         # Without the size bound this value, about 1e-19782, settles only at 2,176 bits.
         points = []
         value_mp = integrals._value_mp
         monkeypatch.setattr(integrals, "_value_mp", lambda cf, x, values: points.append(x) or value_mp(cf, x, values))
         for a, b in ((1e-300, 2e-300), (2e-300, 1e-300)):
             assert definite_integral(closed_form("sin", 64), a, b) == 0.0
-        assert points == [2e-300, 1e-300, 1e-300, 2e-300]
+        assert definite_integral(closed_form("cos", 7), 2.5, 2.5) == 0.0  # an empty interval's bound is 0
+        assert points == []
+        # One near 5e-321 passes the float screen, fails the exact bound and is evaluated.
+        assert definite_integral(closed_form("cos", 1), 0.0, 1e-160) > 0
+        assert points[:2] == [1e-160, 0.0]
 
 
 class TestQuadrature:
