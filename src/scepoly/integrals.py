@@ -308,6 +308,8 @@ _GK15_CENTRE = (0.209482141084727828012999174891714, 0.4179591836734693877551020
 # QUADPACK's rounding floor: no panel claims an error below 50 ulps of the
 # integral of |f| over it.
 _ROUNDING_FLOOR = 50.0 * sys.float_info.epsilon
+# The deepest a panel may be bisected (the whole interval is depth 0).
+_MAX_DEPTH = 50
 
 
 def _gauss_kronrod(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float, float]:
@@ -348,7 +350,6 @@ def quad_adaptive(
     a: float,
     b: float,
     tol: float = 1e-12,
-    max_depth: int = 50,
 ) -> QuadResult:
     """Global adaptive Gauss-Kronrod 7-15 quadrature of x^n * basis over [a, b].
 
@@ -356,8 +357,9 @@ def quad_adaptive(
     one with the largest error estimate, until the estimates sum to at most
     ``tol`` or the worst panel's estimate is at its own rounding floor (50
     ulps of the integral of |f| over it), below which bisection cannot help.
-    Each panel's estimate is QUADPACK's (see ``_gauss_kronrod``).
-    Independent of the closed forms by construction.
+    Each panel's estimate is QUADPACK's (see ``_gauss_kronrod``).  Needing
+    to bisect a panel at depth ``_MAX_DEPTH`` (50) raises.  Independent of
+    the closed forms by construction.
 
     Args:
         kind: one of 'sin', 'cos', 'exp'.
@@ -365,8 +367,6 @@ def quad_adaptive(
         m: exponential rate (exp only; ignored otherwise).
         a, b: integration bounds, a <= b.
         tol: absolute error budget for the whole interval.
-        max_depth: the deepest a panel may be bisected (the whole interval is
-            depth 0); needing to bisect a panel at this depth raises.
 
     Returns:
         QuadResult with the value, the summed error estimate and the number of
@@ -391,9 +391,9 @@ def quad_adaptive(
         neg_error, lo, hi, _, floor, depth = heap[0]
         if -neg_error <= floor:
             break
-        if depth >= max_depth:
+        if depth >= _MAX_DEPTH:
             raise ValueError(
-                f"quadrature failed to converge within depth {max_depth} "
+                f"quadrature failed to converge within depth {_MAX_DEPTH} "
                 f"on [{lo}, {hi}]"
             )
         heapq.heappop(heap)

@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Mapping
 
-from .rational import GaussianRational, ZERO, _value, as_gaussian
+from .rational import GaussianRational, ZERO, as_gaussian
 
 __all__ = ["Poly", "LaurentPoly", "ExpPoly"]
 
@@ -105,7 +105,7 @@ class Poly(_Numerators):
     def coeff(self, k: int) -> GaussianRational:
         j = k - self.lo
         if 0 <= j < len(self.re):
-            return _value(Fraction(self.re[j], self.den), Fraction(self.im[j] if self.im else 0, self.den))
+            return GaussianRational(Fraction(self.re[j], self.den), Fraction(self.im[j] if self.im else 0, self.den))
         return ZERO
 
     def require_real(self, context: str) -> "Poly":
@@ -286,7 +286,7 @@ def _im(p) -> tuple:
 
 def _gaussians(p) -> list[GaussianRational]:
     """The coefficients of x^lo, x^(lo+1), ... as GaussianRationals."""
-    return [_value(Fraction(r, p.den), Fraction(i, p.den)) for r, i in zip(p.re, _im(p))]
+    return [GaussianRational(Fraction(r, p.den), Fraction(i, p.den)) for r, i in zip(p.re, _im(p))]
 
 
 def _add(p, q, sign: int = 1) -> tuple:

@@ -6,12 +6,11 @@ denominator, always reduced, zero is 0/1).  Gaussian rationals a + b*i with
 rational a, b carry the complex-argument identities between the polynomial
 families exactly; they form the field Q(i).
 
-``GaussianRational`` is a slotted value holding two Fractions.  Only the
-public constructor coerces its arguments; arithmetic builds its results from
-Fractions directly.  Almost every scalar the families produce is real, so
-``+``, ``-``, ``*``, ``/`` and ``**`` on two real values do the one Fraction
-operation a rational would, and the full Q(i) formulas run only when an
-imaginary part is nonzero.  Both paths give the same exact values.
+``GaussianRational`` is a slotted, immutable pair of Fractions, and each
+operator is the one Q(i) formula for it, whether or not its operands are
+real.  The polynomial layers keep their coefficients as integer numerators,
+so these values appear only at the edges: scalars and rates in, coefficients
+out.
 
 All values are immutable and every operation is a pure function, so
 everything here is safe to share across threads.
@@ -30,9 +29,6 @@ __all__ = [
     "ZERO",
     "ONE",
 ]
-
-# The imaginary part of every real GaussianRational (see the class docstring).
-_REAL = Fraction(0)
 
 
 def as_rational(value) -> Fraction:
@@ -55,18 +51,17 @@ def as_rate(value) -> Fraction:
 class GaussianRational:
     """An element a + b*i of Q(i), with exact rational components.
 
-    ``re`` and ``im`` are always Fractions.  A zero imaginary part is always
-    the one shared Fraction ``_REAL``, so "is this value real" is an identity
-    test; the constructors below keep that invariant.  ``_hash`` is unset
-    until the first ``__hash__`` call stores the hash there, so arithmetic
-    does not pay for it and rates used as dict keys hash their Fractions once.
+    ``re`` and ``im`` are always Fractions; the value is real when ``im`` is
+    zero.  ``_hash`` is unset until the first ``__hash__`` call stores the
+    hash there, so arithmetic does not pay for it and rates used as dict keys
+    hash their Fractions once.
     """
 
     __slots__ = ("re", "im", "_hash")
 
-    def __init__(self, re, im=_REAL):
+    def __init__(self, re, im=0):
         object.__setattr__(self, "re", as_rational(re))
-        object.__setattr__(self, "im", as_rational(im) or _REAL)
+        object.__setattr__(self, "im", as_rational(im))
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
@@ -85,24 +80,18 @@ class GaussianRational:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.im is _REAL and other.im is _REAL:
-            return _value(self.re + other.re)
-        return _value(self.re + other.re, self.im + other.im)
+        return GaussianRational(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __neg__(self):
-        if self.im is _REAL:
-            return _value(-self.re)
-        return _value(-self.re, -self.im)
+        return GaussianRational(-self.re, -self.im)
 
     def __sub__(self, other):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.im is _REAL and other.im is _REAL:
-            return _value(self.re - other.re)
-        return _value(self.re - other.re, self.im - other.im)
+        return GaussianRational(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
         other = _coerce(other)
@@ -114,9 +103,7 @@ class GaussianRational:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.im is _REAL and other.im is _REAL:
-            return _value(self.re * other.re)
-        return _value(
+        return GaussianRational(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
         )
@@ -129,11 +116,9 @@ class GaussianRational:
             return NotImplemented
         if not other:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        if self.im is _REAL and other.im is _REAL:
-            return _value(self.re / other.re)
         # (a + bi)/(c + di) = (a + bi)(c - di) / (c^2 + d^2)
         norm = other.re * other.re + other.im * other.im
-        return _value(
+        return GaussianRational(
             (self.re * other.re + self.im * other.im) / norm,
             (self.im * other.re - self.re * other.im) / norm,
         )
@@ -149,29 +134,26 @@ class GaussianRational:
             raise TypeError("Gaussian rational powers must be integers")
         if exponent < 0:
             return (ONE / self) ** (-exponent)
-        if self.im is _REAL:
-            return _value(self.re**exponent)
         result = ONE
         base = self
-        e = exponent
-        while e:
-            if e & 1:
+        while exponent:
+            if exponent & 1:
                 result = result * base
             base = base * base
-            e >>= 1
+            exponent >>= 1
         return result
 
     # -- structure --------------------------------------------------------
 
     def conjugate(self) -> "GaussianRational":
-        return _value(self.re, -self.im)
+        return GaussianRational(self.re, -self.im)
 
     @property
     def is_real(self) -> bool:
-        return self.im is _REAL
+        return not self.im
 
     def __bool__(self) -> bool:
-        return self.im is not _REAL or self.re != 0
+        return bool(self.re or self.im)
 
     def __eq__(self, other) -> bool:
         other = _coerce(other)
@@ -185,39 +167,21 @@ class GaussianRational:
         except AttributeError:
             # A real value hashes as its real part, as complex does, so that
             # equal ints and Fractions find it in sets and dicts.
-            h = hash(self.re) if self.im is _REAL else hash((self.re, self.im))
-            _set_hash(self, h)
+            h = hash((self.re, self.im)) if self.im else hash(self.re)
+            object.__setattr__(self, "_hash", h)
             return h
 
     def __repr__(self) -> str:
-        if self.im is _REAL:
-            return f"GaussianRational({self.re})"
-        return f"GaussianRational({self.re}, {self.im})"
-
-
-_new = object.__new__
-_set_re = GaussianRational.re.__set__
-_set_im = GaussianRational.im.__set__
-_set_hash = GaussianRational._hash.__set__
-
-
-def _value(re: Fraction, im: Fraction = _REAL) -> GaussianRational:
-    """re + im*i from two Fractions, without the public constructor's coercion."""
-    if im is not _REAL and not im:
-        im = _REAL
-    z = _new(GaussianRational)
-    _set_re(z, re)
-    _set_im(z, im)
-    return z
+        if self.im:
+            return f"GaussianRational({self.re}, {self.im})"
+        return f"GaussianRational({self.re})"
 
 
 def _coerce(value):
     if isinstance(value, GaussianRational):
         return value
-    if isinstance(value, Fraction):
-        return _value(value)
-    if isinstance(value, int):
-        return _value(Fraction(value))
+    if isinstance(value, (int, Fraction)):
+        return GaussianRational(value)
     return NotImplemented
 
 
@@ -229,6 +193,6 @@ def as_gaussian(value) -> GaussianRational:
     return coerced
 
 
-ZERO = GaussianRational(Fraction(0))
-ONE = GaussianRational(Fraction(1))
-I = GaussianRational(Fraction(0), Fraction(1))
+ZERO = GaussianRational(0)
+ONE = GaussianRational(1)
+I = GaussianRational(0, 1)

@@ -4,6 +4,8 @@ import io
 import json
 import os
 import random
+import re
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -930,3 +932,35 @@ def test_emit_outputs_match_seed_digests(monkeypatch, verb, count):
         if code != 0 or hashlib.sha256(buf.getvalue().encode()).hexdigest()[:16] != digest:
             wrong.append(" ".join(argv))
     assert wrong == []
+
+
+def readme_cli_examples() -> list[tuple[str, list[str]]]:
+    """(argv string, expected lines) for each ``$ scepoly ...`` line of README's ``## CLI`` block."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        if line.startswith("$ scepoly "):
+            examples.append((line.removeprefix("$ scepoly "), []))
+        elif line:
+            examples[-1][1].append(line)
+    return examples
+
+
+README_CLI_EXAMPLES = readme_cli_examples()
+
+
+def test_readme_cli_block_has_every_example():
+    assert len(README_CLI_EXAMPLES) == 7
+    assert {argv.split()[0] for argv, _ in README_CLI_EXAMPLES} == {"poly", "integrate", "genfunc", "verify"}
+
+
+@pytest.mark.parametrize("argv,expected", README_CLI_EXAMPLES, ids=[a for a, _ in README_CLI_EXAMPLES])
+def test_readme_cli_transcript(capsys, monkeypatch, argv, expected):
+    """Each README example prints the lines shown; a '...' line stands for any lines."""
+    monkeypatch.delenv("SCE_MAX_N", raising=False)
+    code = main(shlex.split(argv))
+    out = capsys.readouterr().out
+    pattern = "".join("(?:.*\n)*?" if line == "..." else re.escape(line) + "\n" for line in expected)
+    assert code == 0
+    assert re.fullmatch(pattern, out), out

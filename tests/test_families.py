@@ -1,8 +1,11 @@
+import inspect
+import sys
 from fractions import Fraction
 from math import factorial
 
 import pytest
 
+from scepoly import families, genfunc, integrals
 from scepoly.families import (
     antideriv_poly_exp,
     c_from_e,
@@ -376,3 +379,98 @@ class TestFamilyDispatch:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             family_poly("q", 2)
+
+
+# ---------------------------------------------------------------------------
+# Route independence: each route is built while the constructors it must not
+# use raise, so an optimisation cannot quietly turn it into another route.
+# ---------------------------------------------------------------------------
+
+GUARD_N = 8
+E_ROUTES = {"e_explicit", "e_recurrence", "e_recurrence_sweep", "e_rodrigues", "e_laguerre"}
+FAMILY_FUNCTIONS = {
+    name for name, f in vars(families).items() if inspect.isfunction(f) and f.__module__ == families.__name__
+}
+
+
+def _each_n(module, name, *args):
+    return lambda: [getattr(module, name)(n, *args) for n in range(GUARD_N + 1)]
+
+
+def _sweep(module, name):
+    return lambda: list(getattr(module, name)(GUARD_N))
+
+
+def _series(make):
+    """n! [t^n] of a generating function, for n = 0..GUARD_N."""
+    return lambda: [factorial(n) * c for n, c in enumerate(make().coeffs)]
+
+
+def _explicit(name, *args):
+    return [getattr(families, name)(n, *args) for n in range(GUARD_N + 1)]
+
+
+# route id -> (build the route up to GUARD_N, the explicit values it must give, forbidden names)
+ROUTE_GUARDS = {
+    "e_rodrigues": (_each_n(families, "e_rodrigues"), ("e_explicit",), E_ROUTES - {"e_rodrigues"}),
+    "e_recurrence_sweep": (
+        _sweep(families, "e_recurrence_sweep"),
+        ("e_explicit",),
+        E_ROUTES - {"e_recurrence", "e_recurrence_sweep"},
+    ),
+    "e_laguerre": (_each_n(families, "e_laguerre"), ("e_explicit",), E_ROUTES - {"e_laguerre"}),
+    "em_rodrigues(-5/3)": (
+        _each_n(families, "em_rodrigues", Fraction(-5, 3)),
+        ("em_explicit", Fraction(-5, 3)),
+        {"em_explicit"},
+    ),
+    "s_from_e": (_each_n(families, "s_from_e"), ("s_explicit",), {"s_explicit", "c_from_s"}),
+    "c_from_e": (_each_n(families, "c_from_e"), ("c_from_s",), {"s_explicit", "c_from_s"}),
+    "s_rodrigues_sweep": (_sweep(integrals, "s_rodrigues_sweep"), ("s_explicit",), {"s_explicit", "e_explicit"}),
+    "series_E": (_series(lambda: genfunc.series_E(GUARD_N)), ("e_explicit",), FAMILY_FUNCTIONS),
+    "series_S": (_series(lambda: genfunc.series_S(GUARD_N)), ("s_explicit",), FAMILY_FUNCTIONS),
+    "series_C": (_series(lambda: genfunc.series_C(GUARD_N)), ("c_from_s",), FAMILY_FUNCTIONS),
+    "series_Em(2)": (_series(lambda: genfunc.series_Em(2, GUARD_N)), ("em_explicit", 2), FAMILY_FUNCTIONS),
+    "degenerate_genfunc(E)": (
+        _series(lambda: genfunc.degenerate_genfunc(genfunc.E_SPEC, GUARD_N)),
+        ("e_explicit",),
+        FAMILY_FUNCTIONS,
+    ),
+    "degenerate_genfunc(em 1/2)": (
+        _series(lambda: genfunc.degenerate_genfunc(genfunc.em_spec(Fraction(1, 2)), GUARD_N)),
+        ("em_explicit", Fraction(1, 2)),
+        FAMILY_FUNCTIONS,
+    ),
+}
+
+
+def _forbid(monkeypatch, names):
+    """Point every scepoly module's binding of each named families function at one that raises."""
+    for name in names:
+        original = getattr(families, name)
+
+        def forbidden(*args, name=name, **kwargs):
+            raise AssertionError(f"the route called {name}")
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name == "scepoly" or module_name.startswith("scepoly."):
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, forbidden)
+
+
+class TestRouteIndependence:
+    @pytest.mark.parametrize("route", ROUTE_GUARDS)
+    def test_route_uses_no_forbidden_constructor(self, route, monkeypatch):
+        build, reference, forbidden = ROUTE_GUARDS[route]
+        expected = _explicit(*reference)
+        _forbid(monkeypatch, forbidden)
+        assert build() == expected
+
+    def test_guard_reaches_every_binding(self, monkeypatch):
+        """The patch reaches families' own name and the copy integrals imported."""
+        _forbid(monkeypatch, {"e_explicit", "s_explicit"})
+        with pytest.raises(AssertionError, match="e_explicit"):
+            families.s_from_e(3)
+        with pytest.raises(AssertionError, match="s_explicit"):
+            integrals.closed_form("sin", 3)

@@ -326,9 +326,10 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             integrand_function("sinh", 1)
 
-    def test_depth_exhaustion_is_explicit(self):
+    def test_depth_exhaustion_is_explicit(self, monkeypatch):
+        monkeypatch.setattr(integrals, "_MAX_DEPTH", 0)
         with pytest.raises(ValueError, match="depth"):
-            quad_adaptive("sin", 3, 1, 0.0, 3.0, tol=1e-13, max_depth=0)
+            quad_adaptive("sin", 3, 1, 0.0, 3.0, tol=1e-13)
 
     def test_random_intervals_all_kinds(self):
         rng = random.Random(987123)

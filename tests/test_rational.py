@@ -105,7 +105,7 @@ class TestGaussianRational:
 
 
 # The Q(i) formulas on (re, im) pairs of plain Fractions, the reference for
-# both the real fast paths and the general ones.
+# every operator on real and non-real operands alike.
 
 def _ref_mul(a, b):
     return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
