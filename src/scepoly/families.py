@@ -222,7 +222,7 @@ def s_from_e(n: int) -> Poly:
         return Poly.zero()
     e = e_explicit(n)
     combo = (-1) ** (n + 1) * e.scale_arg(I) - e.scale_arg(-I)
-    return ((I**n / 2) * combo).require_real("s_from_e")
+    return ((I ** (n % 4) / 2) * combo).require_real("s_from_e")
 
 
 def c_from_s(n: int) -> Poly:
@@ -236,7 +236,7 @@ def c_from_e(n: int) -> Poly:
         return Poly.zero()
     e = e_explicit(n)
     combo = (-1) ** n * e.scale_arg(I) + e.scale_arg(-I)
-    return ((I**n / 2) * combo).require_real("c_from_e")
+    return ((I ** (n % 4) / 2) * combo).require_real("c_from_e")
 
 
 def shat(k: int) -> Poly:

@@ -130,7 +130,7 @@ def s_rodrigues_sweep(n_max: int) -> Iterator[Poly]:
     """
     for n, (plus, minus) in enumerate(zip(rodrigues_sweep(I, n_max), rodrigues_sweep(-I, n_max))):
         combo = plus * ((-1) ** n) + minus
-        yield (combo * (-(I**n) / 2)).to_poly().require_real("s_rodrigues")
+        yield (combo * (-(I ** (n % 4)) / 2)).to_poly().require_real("s_rodrigues")
 
 
 def s_rodrigues(n: int) -> Poly:
@@ -175,8 +175,6 @@ def antiderivative_recurrence_report(n_max: int) -> CheckReport:
 
 # 40 digits settle every sampled request in the documented domain; 8 bits of slack cover one value's roundings.
 _START_PREC, _SLACK_BITS = mpmath.libmp.dps_to_prec(40), 8
-# Half the least subnormal: a value no larger in magnitude rounds to 0.
-_HALF_TINIEST = Fraction(1, 2**1075)
 
 
 def _mpq(q: Fraction):
@@ -206,22 +204,21 @@ def _exact_value(cf: ClosedForm, points) -> Optional[Fraction]:
 
 def _rounds_to_zero(cf: ClosedForm, b: float, a: float) -> bool:
     """True if |F(b) - F(a)| <= |b - a| * max(|a|, |b|)^n * G <= 2^-1075, where G bounds the
-    basis on [a, b]: 1 for sin and cos, 3^ceil(max(0, m*a, m*b)) for e^(mx), as e < 3."""
-    a, b = Fraction(a), Fraction(b)
-    bound = abs(b - a) * max(abs(a), abs(b)) ** cf.n
-    if cf.kind == "exp" and 0 < bound <= _HALF_TINIEST:
-        k = math.ceil(max(0, cf.m * a, cf.m * b))
-        if k >= (_HALF_TINIEST // bound).bit_length():  # 3^k > 2^k > 2^-1075/bound; 3^k may be vast
-            return False
-        bound *= 3**k
-    return bound <= _HALF_TINIEST
-
-
-def _may_round_to_zero(cf: ClosedForm, b: float, a: float) -> bool:
-    """False when the bound of ``_rounds_to_zero`` is surely above 2^-1075, read from float exponents with
-    75 bits to spare: |x| >= 2^(e - 1) where frexp(x) = (f, e), x != 0, and G >= 2^max(0, m*a, m*b)."""
-    low = (math.frexp(b - a)[1] - 1 if b != a else -math.inf) + cf.n * (math.frexp(max(abs(a), abs(b)))[1] - 1)
-    return low + (max(0, cf.m * Fraction(a), cf.m * Fraction(b)) if cf.kind == "exp" else 0) <= -1000
+    basis on [a, b]: 1 for sin and cos, 3^ceil(max(0, m*a, m*b)) for e^(mx), as e < 3.
+    A float's ``as_integer_ratio`` denominator is a power of 2, so with b - a = (B - A)/q and
+    max(|a|, |b|) = p/r the test is |B - A| * p^n * G * 2^1075 <= q * r^n, in integers with no
+    Fraction and no gcd; q * r^n is a shift."""
+    (pa, qa), (pb, qb) = a.as_integer_ratio(), b.as_integer_ratio()
+    (p, r), q = max(abs(a), abs(b)).as_integer_ratio(), max(qa, qb)
+    A, B = pa * (q // qa), pb * (q // qb)
+    num, den = abs(B - A) * p**cf.n << 1075, 1 << (q.bit_length() - 1 + (r.bit_length() - 1) * cf.n)
+    if cf.kind != "exp" or not num or num > den:
+        return num <= den
+    mq = cf.m.denominator * q
+    k = max(0, -(-cf.m.numerator * A // mq), -(-cf.m.numerator * B // mq))  # ceil(m*x) at both points
+    if k >= den.bit_length():  # num * 3^k >= 3^k > 2^k > den; 3^k may be vast
+        return False
+    return num * 3**k <= den
 
 
 def _closed_form_float(cf: ClosedForm, points, what: str) -> float:
@@ -232,10 +229,11 @@ def _closed_form_float(cf: ClosedForm, points, what: str) -> float:
     total - err and total + err round to the same double, it is the nearest
     (Ziv's test); otherwise p doubles.  A rational value (0, or a midpoint) may
     never settle, so the first unsettled pass looks for one; it is 0 unless a point is 0.
-    A nonzero value far below the smallest double settles only near 2,000 bits, so an
-    integral whose size bound rounds to 0 is 0.0 before any polynomial value is computed.
+    A nonzero value far below the smallest double settles only near 2,000 bits, so every
+    definite integral ([b, a]) first meets the exact size bound of ``_rounds_to_zero``, and
+    one that it decides rounds to 0 is 0.0 before any polynomial value is computed.
     """
-    if len(points) == 2 and _may_round_to_zero(cf, *points) and _rounds_to_zero(cf, *points):
+    if len(points) == 2 and _rounds_to_zero(cf, *points):
         return 0.0
     parts = (cf.exp_part,) if cf.kind == "exp" else (cf.cos_part, cf.sin_part)
     exact = [(x, [p.eval(Fraction(x)).re for p in parts]) for x in points]

@@ -318,10 +318,10 @@ def _scale(p, a: int, b: int, q: int) -> tuple:
     return p.lo, [a * r - b * i for r, i in zip(p.re, im)], [b * r + a * i for r, i in zip(p.re, im)], p.den * q
 
 
-def _mul_into(re: list, im: list, p, q, f: int = 1, at: int = 0) -> None:
-    """Add f * p * q, its numerators, to the lists re and im from index at (schoolbook)."""
-    for out, x, y, g in ((re, p.re, q.re, f), (re, p.im, q.im, -f), (im, p.re, q.im, f), (im, p.im, q.re, f)):
-        for i, a in enumerate(x, at):
+def _mul_into(re: list, im: list, p, q) -> None:
+    """Add p * q, its numerators, to the lists re and im (schoolbook)."""
+    for out, x, y, g in ((re, p.re, q.re, 1), (re, p.im, q.im, -1), (im, p.re, q.im, 1), (im, p.im, q.re, 1)):
+        for i, a in enumerate(x):
             if a:
                 a *= g
                 for j, b in enumerate(y, i):

@@ -135,12 +135,8 @@ class GaussianRational:
         if exponent < 0:
             return (ONE / self) ** (-exponent)
         result = ONE
-        base = self
-        while exponent:
-            if exponent & 1:
-                result = result * base
-            base = base * base
-            exponent >>= 1
+        for _ in range(exponent):
+            result = result * self
         return result
 
     # -- structure --------------------------------------------------------

@@ -805,15 +805,20 @@ def test_check_output_is_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest, out
 
 
-def test_check_requests_never_reach_the_exact_size_bound(capsys, monkeypatch):
-    def exact_bound(*args):
-        raise AssertionError(f"exact size bound reached for {args}")
+def test_check_requests_meet_the_exact_size_bound_once_each(capsys, monkeypatch):
+    decided = []
+    rounds_to_zero = integrals._rounds_to_zero
 
-    monkeypatch.setattr(integrals, "_rounds_to_zero", exact_bound)
-    for argv, digest in zip(check_argvs(), CHECK_DIGESTS):
+    def spy(*args):
+        decided.append(rounds_to_zero(*args))
+        return decided[-1]
+
+    monkeypatch.setattr(integrals, "_rounds_to_zero", spy)
+    for i, (argv, digest) in enumerate(zip(check_argvs(), CHECK_DIGESTS), 1):
         code, out, err = run_cli(capsys, *argv)
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest, out
+        assert decided == [False] * i
 
 
 def test_tiny_integral_needs_no_polynomial_value(capsys, monkeypatch):
@@ -828,12 +833,12 @@ def test_tiny_integral_needs_no_polynomial_value(capsys, monkeypatch):
     with mock.patch.object(Poly, "eval", side_effect=AssertionError("a polynomial value was computed")):
         for a, b in (("1e-300", "2e-300"), ("2e-300", "1e-300")):
             assert run_cli(capsys, "integrate", "--kind", "sin", "--n", "64", "--a", a, "--b", b) == (0, "0\n", "")
-    # x^0 cos x over the same interval is not screened; x cos x over [0, 1e-160] is, and the exact bound rejects it.
+    # The bound rejects x^0 cos x over the same interval and x cos x over [0, 1e-160], whose value is near 5e-321.
     assert run_cli(capsys, "integrate", "--kind", "cos", "--n", "0", "--a", "1e-300", "--b", "2e-300") == (
         0, "1e-300\n", "")
     assert run_cli(capsys, "integrate", "--kind", "cos", "--n", "1", "--a", "0", "--b", "1e-160") == (
         0, "4.999944335913415e-321\n", "")
-    assert decided == [True, True, False]
+    assert decided == [True, True, False, False]
 
 
 # integrate requests outside the benchmark's domain, each pinned by the sha256

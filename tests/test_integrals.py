@@ -271,6 +271,12 @@ class TestCorrectRounding:
     @example(request=("cos", 0, None, 1e-300, 2e-300))
     # (b - a) * b^n is 2^-1086, but e^(mx) reaches e^8 and the value is 5e-324: the bound must count it.
     @example(request=("exp", 64, Fraction(2**19), 2.0**-16 - 2.0**-62, 2.0**-16))
+    # (b - a) * b^n is 2^-1075 but m*b is 0.9 and the value is 5e-324: G must take the ceiling of m*b.
+    @example(request=("exp", 64, Fraction(58982), 2.0**-16 - 2.0**-51, 2.0**-16))
+    # The bound is 2^-1074, and so is the value.
+    @example(request=("cos", 0, None, 0.0, 5e-324))
+    # With min(|a|, |b|) in place of max(|a|, |b|) the bound would be far below 2^-1075.
+    @example(request=("sin", 2, None, 2.0**-1000, 2.0**-10))
     def test_nearest_double(self, request):
         kind, n, m, a, b = request
         cf = closed_form(kind, n, m)
@@ -296,9 +302,52 @@ class TestCorrectRounding:
             assert definite_integral(closed_form("sin", 64), a, b) == 0.0
         assert definite_integral(closed_form("cos", 7), 2.5, 2.5) == 0.0  # an empty interval's bound is 0
         assert points == []
-        # One near 5e-321 passes the float screen, fails the exact bound and is evaluated.
+        # One near 5e-321 is above the size bound and is evaluated.
         assert definite_integral(closed_form("cos", 1), 0.0, 1e-160) > 0
         assert points[:2] == [1e-160, 0.0]
+
+
+def _reference_rounds_to_zero(kind, n, m, b, a):
+    """The size bound of ``integrals._rounds_to_zero`` in Fractions."""
+    a, b = Fraction(a), Fraction(b)
+    half_tiniest = Fraction(1, 2**1075)
+    bound = abs(b - a) * max(abs(a), abs(b)) ** n
+    if kind == "exp" and 0 < bound <= half_tiniest:
+        k = math.ceil(max(0, m * a, m * b))
+        if k >= (half_tiniest // bound).bit_length():  # 3^k > 2^k > 2^-1075/bound
+            return False
+        bound *= 3**k
+    return bound <= half_tiniest
+
+
+# Any finite double, subnormals and both zeros among them, or one of magnitude 2^-1100 to 2^20.
+_BOUND_POINTS = st.floats(allow_nan=False, allow_infinity=False) | st.builds(
+    math.ldexp, st.floats(-1, 1), st.integers(-1100, 20))
+
+
+class TestSizeBound:
+    """``_rounds_to_zero`` decides in integers what the Fraction formula decides."""
+
+    @given(
+        kind=st.sampled_from(KINDS),
+        m=st.sampled_from([Fraction(1), Fraction(2), Fraction(-1), Fraction(-5, 3), Fraction(1, 3),
+                           Fraction(1, 134217727)]),
+        n=st.sampled_from([0, 1, 7, 12, 64]),
+        a=_BOUND_POINTS,
+        b=_BOUND_POINTS | st.none(),
+    )
+    @settings(deadline=None, max_examples=500)
+    @example(kind="cos", m=Fraction(1), n=0, a=0.0, b=5e-324)  # 2^-1074 is above the bound
+    @example(kind="sin", m=Fraction(1), n=2, a=2.0**-1000, b=2.0**-10)  # max(|a|, |b|), not min
+    @example(kind="exp", m=Fraction(1), n=1, a=0.0, b=2.0**-538)  # G = 3^ceil(2^-538) = 3
+    @example(kind="exp", m=Fraction(-5, 3), n=1, a=-(2.0**-538), b=0.0)
+    @example(kind="exp", m=Fraction(1, 3), n=0, a=-0.0, b=-0.0)
+    def test_matches_the_fraction_formula(self, kind, m, n, a, b):
+        b = a if b is None else b  # an empty interval
+        cf = closed_form(kind, n, m if kind == "exp" else None)
+        expected = _reference_rounds_to_zero(kind, n, m, b, a)
+        assert integrals._rounds_to_zero(cf, b, a) == expected
+        assert integrals._rounds_to_zero(cf, a, b) == expected
 
 
 class TestQuadrature:

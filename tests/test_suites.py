@@ -3,6 +3,7 @@
 import pytest
 
 from scepoly import cli, suites
+from scepoly.rational import GaussianRational
 from scepoly.suites import VERIFY_SUITES, run_suite
 
 
@@ -34,3 +35,18 @@ def test_series_suites_at_max_n_64(name, count):
     report = run_suite(name, 64)
     assert len(report) == count
     assert report.all_passed, report.failures
+
+
+def test_all_at_max_n_24_takes_i_powers_mod_4(monkeypatch):
+    # i^n and (-i)^n take one of four values, so no caller should power a Gaussian rational past 3.
+    exponents = []
+    power = GaussianRational.__pow__
+
+    def spy(self, exponent):
+        exponents.append(exponent)
+        return power(self, exponent)
+
+    monkeypatch.setattr(GaussianRational, "__pow__", spy)
+    report = run_suite("all", 24)
+    assert report.all_passed, report.failures
+    assert exponents and all(-3 <= e <= 3 for e in exponents), sorted(set(exponents))
