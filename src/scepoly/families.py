@@ -99,13 +99,14 @@ def e_recurrence(n: int) -> Poly:
     return _last(e_recurrence_sweep(n), Poly.zero())
 
 
-def rodrigues_sweep(rate, n_max: int) -> Iterator[LaurentPoly]:
+def rodrigues_sweep(rate, n_max: int) -> Iterator[Poly]:
     """``rodrigues_part(rate, n)`` for n = 0..n_max, each by one exact derivative of the one before.
 
     Each derivative maps p(x) e^(rate x) to (p' + rate*p) e^(rate x), the
-    ``LaurentPoly.derivative(rate)`` kernel on the part p; the rate goes to
-    integer parts once, not once per step.  Callers convert with
-    ``to_poly``, which raises on a negative exponent left over (an
+    ``_derivative`` kernel on the part p; the rate goes to integer parts
+    once, not once per step.  The iterate p has negative exponents, so it is
+    the package's one ``LaurentPoly``; each yielded x^(n+1)*p is a ``Poly``,
+    and ``to_poly`` raises on a negative exponent left over (an
     implementation bug).
     """
     a, b, q = _int_parts(rate)
@@ -113,20 +114,18 @@ def rodrigues_sweep(rate, n_max: int) -> Iterator[LaurentPoly]:
     for n in range(n_max + 1):
         if n:
             part = _make(LaurentPoly, *_derivative(part, a, b, q))
-        yield part.shift(n + 1)
+        yield part.shift(n + 1).to_poly()
 
 
-def rodrigues_part(rate, n: int) -> LaurentPoly:
+def rodrigues_part(rate, n: int) -> Poly:
     """x^(n+1) e^(-rate x) d^n/dx^n (x^(-1) e^(rate x)), by n exact derivatives:
     the last element of ``rodrigues_sweep(rate, n)``; zero for n < 0."""
-    return _last(rodrigues_sweep(rate, n), LaurentPoly())
+    return _last(rodrigues_sweep(rate, n), Poly.zero())
 
 
 def e_rodrigues(n: int) -> Poly:
     """e_n = x^(n+1) e^(-x) d^n/dx^n (x^(-1) e^x), computed exactly."""
-    if n < 0:
-        return Poly.zero()
-    return rodrigues_part(1, n).to_poly()
+    return rodrigues_part(1, n)
 
 
 def laguerre_general(n: int, alpha) -> Poly:
@@ -176,10 +175,7 @@ def em_explicit(n: int, m) -> Poly:
 
 def em_rodrigues(n: int, m) -> Poly:
     """e_n^(m) = x^(n+1) e^(-mx) d^n/dx^n (x^(-1) e^(mx))."""
-    m = as_rate(m)
-    if n < 0:
-        return Poly.zero()
-    return rodrigues_part(m, n).to_poly()
+    return rodrigues_part(as_rate(m), n)
 
 
 def antideriv_poly_exp(n: int, m) -> Poly:

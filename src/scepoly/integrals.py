@@ -25,7 +25,7 @@ from typing import Callable, Iterator, Optional
 import mpmath
 
 from .families import _last, antideriv_poly_exp, c_from_s, chat, rodrigues_sweep, s_explicit, shat
-from .poly import ExpPoly, LaurentPoly, Poly
+from .poly import ExpPoly, Poly
 from .rational import I, ZERO, as_rate, as_rational
 from .report import CheckReport
 
@@ -90,8 +90,8 @@ _HALF_I = I / 2
 
 def _lift_trig(cos_part: Poly, sin_part: Poly) -> ExpPoly:
     # cos x = (e^(ix) + e^(-ix))/2,  sin x = (e^(ix) - e^(-ix))/(2i)
-    half_cos = LaurentPoly.from_poly(cos_part) * Fraction(1, 2)
-    half_i_sin = LaurentPoly.from_poly(sin_part) * _HALF_I
+    half_cos = cos_part * Fraction(1, 2)
+    half_i_sin = sin_part * _HALF_I
     return ExpPoly([(I, half_cos - half_i_sin), (-I, half_cos + half_i_sin)])
 
 
@@ -130,7 +130,7 @@ def s_rodrigues_sweep(n_max: int) -> Iterator[Poly]:
     """
     for n, (plus, minus) in enumerate(zip(rodrigues_sweep(I, n_max), rodrigues_sweep(-I, n_max))):
         combo = plus * ((-1) ** n) + minus
-        yield (combo * (-(I ** (n % 4)) / 2)).to_poly().require_real("s_rodrigues")
+        yield (combo * (-(I ** (n % 4)) / 2)).require_real("s_rodrigues")
 
 
 def s_rodrigues(n: int) -> Poly:
@@ -198,7 +198,7 @@ def _exact_value(cf: ClosedForm, points) -> Optional[Fraction]:
     merged = {0: ZERO}
     for rate, part in lift_closed_form(cf).terms.items():
         for sign, x in zip((1, -1), map(Fraction, points)):
-            merged[rate * x] = merged.get(rate * x, ZERO) + sign * part.to_poly().eval(x)
+            merged[rate * x] = merged.get(rate * x, ZERO) + sign * part.eval(x)
     return None if any(c for e, c in merged.items() if e != 0) else merged[0].re
 
 

@@ -8,11 +8,13 @@ is tuple equality, and arithmetic, derivatives, ``scale_arg`` and ``eval``
 are passes over Python ints by kernels the two classes share.
 ``GaussianRational`` appears only at the edges: scalars and rates in,
 ``coeffs``, ``coeff`` and ``eval`` out.  A ``Poly`` has lo >= 0; a
-``LaurentPoly`` may go below, as derivatives of x^(-1)*e^(rx) do.
+``LaurentPoly`` may go below.  It is only the iterate of the Rodrigues
+derivative of x^(-1)*e^(rx) (``families.rodrigues_sweep``), which hands
+each result on as a ``Poly``.
 
-``ExpPoly`` is a finite sum of terms p_k(x)*e^(mu_k x) with Laurent
-polynomial parts and pairwise distinct Gaussian-rational rates mu_k, closed
-under differentiation: it differentiates weight-function products and
+``ExpPoly`` is a finite sum of terms p_k(x)*e^(mu_k x) with ``Poly`` parts
+and pairwise distinct Gaussian-rational rates mu_k, closed under
+differentiation: it differentiates weight-function products and
 trigonometric closed forms (sin/cos lifted to complex exponentials) exactly.
 
 No polynomial division lives here; nothing downstream needs it.  All values
@@ -22,9 +24,9 @@ constructors (``__reduce__``).
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping
 
 from .rational import GaussianRational, ZERO, as_gaussian
 
@@ -156,8 +158,9 @@ class Poly(_Numerators):
 
     # -- calculus ---------------------------------------------------------
 
-    def derivative(self) -> "Poly":
-        return _make(Poly, *_derivative(self, 0, 0, 1))
+    def derivative(self, rate=0) -> "Poly":
+        """p' + rate*p, i.e. e^(-rate x) d/dx [p(x) e^(rate x)]; plain p' by default."""
+        return _make(Poly, *_derivative(self, *_int_parts(rate)))
 
     def eval(self, z) -> GaussianRational:
         """Exact value at z = (a + b*i)/q: the sum of (re[k] + im[k]*i)(a + b*i)^k q^(d-k),
@@ -354,10 +357,6 @@ class LaurentPoly(_Numerators):
             out = out + _make(cls, e, (a,), (b,), q)
         return out
 
-    @classmethod
-    def from_poly(cls, p: Poly) -> "LaurentPoly":
-        return _raw(cls, p.lo, p.re, p.im, p.den)
-
     @property
     def terms(self) -> dict[int, GaussianRational]:
         """The nonzero terms as an ascending map exponent -> coefficient."""
@@ -381,9 +380,8 @@ class LaurentPoly(_Numerators):
         """Multiply by x^k (k may be negative)."""
         return _make(LaurentPoly, self.lo + k, self.re, self.im, self.den)
 
-    def derivative(self, rate=0) -> "LaurentPoly":
-        """p' + rate*p, i.e. e^(-rate x) d/dx [p(x) e^(rate x)]; plain p' by default."""
-        return _make(LaurentPoly, *_derivative(self, *_int_parts(rate)))
+    def derivative(self) -> "LaurentPoly":
+        return _make(LaurentPoly, *_derivative(self, 0, 0, 1))
 
     def to_poly(self) -> Poly:
         """Convert to a Poly; negative exponents indicate an upstream bug."""
@@ -406,9 +404,10 @@ class LaurentPoly(_Numerators):
 
 
 class ExpPoly:
-    """Finite sum of Laurent-polynomial multiples of exponentials.
+    """Finite sum of polynomial multiples of exponentials.
 
-    Terms are keyed by rate: {mu: p} represents sum of p(x)*e^(mu*x).
+    Terms are keyed by rate: {mu: p} represents sum of p(x)*e^(mu*x), each
+    part p a ``Poly`` (anything else raises ``TypeError``).
     Rates are pairwise distinct and zero parts are dropped, so equality of
     canonical forms is exact equality of functions.
     """
@@ -417,10 +416,11 @@ class ExpPoly:
 
     def __init__(self, terms: Iterable = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
-        out: dict[GaussianRational, LaurentPoly] = {}
+        out: dict[GaussianRational, Poly] = {}
         for rate, part in items:
+            if not isinstance(part, Poly):
+                raise TypeError(f"ExpPoly parts must be Poly, got {type(part).__name__}")
             rate = as_gaussian(rate)
-            part = LaurentPoly.from_poly(part) if isinstance(part, Poly) else part
             out[rate] = out[rate] + part if rate in out else part
         object.__setattr__(self, "terms", {rate: part for rate, part in out.items() if not part.is_zero()})
 

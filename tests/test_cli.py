@@ -924,7 +924,7 @@ def seed_digest_requests(verb):
     return out
 
 
-@pytest.mark.parametrize("verb,count", [("poly", 2080), ("integrate", 400), ("genfunc", 88)])
+@pytest.mark.parametrize("verb,count", [("poly", 2080), ("integrate", 400), ("genfunc", 88), ("verify", 1)])
 def test_emit_outputs_match_seed_digests(monkeypatch, verb, count):
     monkeypatch.setenv("SCE_MAX_N", "64")
     requests = seed_digest_requests(verb)

@@ -27,7 +27,7 @@ from scepoly.families import (
     s_from_e,
     shat,
 )
-from scepoly.poly import ExpPoly, LaurentPoly, Poly
+from scepoly.poly import ExpPoly, Poly
 from scepoly.rational import I
 
 X = Poly.x()
@@ -154,12 +154,12 @@ class TestRodriguesPart:
 
     def test_n3_values(self):
         # recorded from the three separate Rodrigues routes this helper replaced
-        assert rodrigues_part(1, 3).to_poly() == Poly([-6, 6, -3, 1])
-        assert rodrigues_part(Fraction(-1, 2), 3).to_poly() == Poly(
+        assert rodrigues_part(1, 3) == Poly([-6, 6, -3, 1])
+        assert rodrigues_part(Fraction(-1, 2), 3) == Poly(
             [-6, -3, Fraction(-3, 4), Fraction(-1, 8)]
         )
-        assert rodrigues_part(I, 3).to_poly() == Poly([-6, 6 * I, 3, -I])
-        assert rodrigues_part(-I, 3).to_poly() == Poly([-6, -6 * I, 3, I])
+        assert rodrigues_part(I, 3) == Poly([-6, 6 * I, 3, -I])
+        assert rodrigues_part(-I, 3) == Poly([-6, -6 * I, 3, I])
 
     @pytest.mark.parametrize("rate", [1, Fraction(-1, 2), I, -I])
     def test_matches_rate_m_sum(self, rate):
@@ -169,7 +169,7 @@ class TestRodriguesPart:
                 (-1) ** (l + n) * rate**l * Fraction(factorial(n), factorial(l))
                 for l in range(n + 1)
             )
-            assert rodrigues_part(rate, n).to_poly() == expected
+            assert rodrigues_part(rate, n) == expected
 
 
 class TestSweeps:
@@ -188,7 +188,7 @@ class TestSweeps:
             assert list(e_recurrence_sweep(n)) == []
             assert list(rodrigues_sweep(I, n)) == []
             assert e_recurrence(n) == Poly.zero()
-            assert rodrigues_part(2, n) == LaurentPoly()
+            assert rodrigues_part(2, n) == Poly.zero()
 
 
 class TestEmFamily:
@@ -474,3 +474,41 @@ class TestRouteIndependence:
             families.s_from_e(3)
         with pytest.raises(AssertionError, match="s_explicit"):
             integrals.closed_form("sin", 3)
+
+
+CONTRACT_RATES = {"1": 1, "2": 2, "-5/3": Fraction(-5, 3), "i": I, "-i": -I}
+PER_N_CONSTRUCTORS = {
+    "e_explicit": e_explicit,
+    "e_recurrence": e_recurrence,
+    "e_rodrigues": e_rodrigues,
+    "e_laguerre": e_laguerre,
+    "s_explicit": s_explicit,
+    "s_from_e": s_from_e,
+    "s_rodrigues": integrals.s_rodrigues,
+    "c_from_s": c_from_s,
+    "c_from_e": c_from_e,
+    "shat": shat,
+    "chat": chat,
+    **{f"{f.__name__}(m={m})": (lambda n, f=f, m=m: f(n, m))
+       for f in (em_explicit, em_rodrigues, antideriv_poly_exp) for m in (1, 2, Fraction(-5, 3))},
+    **{f"rodrigues_part(rate={k})": (lambda n, r=r: rodrigues_part(r, n)) for k, r in CONTRACT_RATES.items()},
+}
+
+
+class TestTypeContract:
+    """Every constructor, route and sweep hands out exactly ``Poly``; ``LaurentPoly`` stays inside the sweep."""
+
+    @pytest.mark.parametrize("name", PER_N_CONSTRUCTORS)
+    def test_per_n_constructors_return_poly(self, name):
+        for n in range(-2, 9):
+            assert type(PER_N_CONSTRUCTORS[name](n)) is Poly, (name, n)
+
+    @pytest.mark.parametrize(
+        "sweep",
+        [lambda n: e_recurrence_sweep(n), lambda n: integrals.s_rodrigues_sweep(n)]
+        + [lambda n, r=r: rodrigues_sweep(r, n) for r in CONTRACT_RATES.values()],
+        ids=["e_recurrence_sweep", "s_rodrigues_sweep"] + [f"rodrigues_sweep(rate={k})" for k in CONTRACT_RATES],
+    )
+    def test_sweeps_yield_poly(self, sweep):
+        for n in range(-2, 9):
+            assert [type(p) for p in sweep(n)] == [Poly] * (n + 1 if n >= 0 else 0)

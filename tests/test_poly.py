@@ -17,13 +17,10 @@ X = Poly.x()
 small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=6)
 small_gaussians = st.builds(GaussianRational, small_rationals, small_rationals)
 polys = st.lists(small_gaussians, max_size=5).map(Poly)
-laurents = st.dictionaries(
-    st.integers(min_value=-4, max_value=4), small_gaussians, max_size=4
-).map(LaurentPoly)
 rates = st.sampled_from(
     [GaussianRational(0), GaussianRational(1), GaussianRational(-1), I, -I, GaussianRational(2)]
 )
-exp_polys = st.lists(st.tuples(rates, laurents), max_size=3).map(ExpPoly)
+exp_polys = st.lists(st.tuples(rates, polys), max_size=3).map(ExpPoly)
 
 
 class TestPolyArithmetic:
@@ -124,13 +121,13 @@ class TestLaurentPoly:
 
 class TestExpPoly:
     def test_derivative_first_weight_step(self):
-        # d/dx (x^-1 e^x) = (x^-1 - x^-2) e^x
-        f = ExpPoly.of(1, LaurentPoly({-1: 1}))
-        expected = ExpPoly.of(1, LaurentPoly({-1: 1, -2: -1}))
+        # d/dx (x e^x) = (x + 1) e^x
+        f = ExpPoly.of(1, X)
+        expected = ExpPoly.of(1, X + 1)
         assert f.derivative() == expected
 
     def test_derivative_of_pure_exponential(self):
-        f = ExpPoly.of(1, LaurentPoly({0: 1}))
+        f = ExpPoly.of(1, Poly.one())
         assert f.derivative() == f
 
     def test_zero_rate_degenerates_to_poly_derivative(self):
@@ -139,17 +136,18 @@ class TestExpPoly:
         assert f.derivative() == ExpPoly.of(0, p.derivative())
 
     def test_second_weight_step(self):
-        f = ExpPoly.of(1, LaurentPoly({-1: 1}))
-        expected = ExpPoly.of(1, LaurentPoly({-1: 1, -2: -2, -3: 2}))
+        # d^2/dx^2 (x e^x) = (x + 2) e^x
+        f = ExpPoly.of(1, X)
+        expected = ExpPoly.of(1, X + 2)
         assert f.nth_derivative(2) == expected
 
     def test_nth_derivative_order_zero(self):
-        f = ExpPoly.of(2, LaurentPoly({3: 1}))
+        f = ExpPoly.of(2, Poly.monomial(3))
         assert f.nth_derivative(0) == f
 
     def test_distinct_rates_merge_on_construction(self):
-        f = ExpPoly([(1, LaurentPoly({0: 1})), (1, LaurentPoly({0: 2}))])
-        assert f.terms == {GaussianRational(1): LaurentPoly({0: 3})}
+        f = ExpPoly([(1, Poly.constant(1)), (1, Poly.constant(2))])
+        assert f.terms == {GaussianRational(1): Poly.constant(3)}
 
     @given(f=exp_polys, g=exp_polys)
     def test_derivative_is_linear(self, f, g):
@@ -220,14 +218,12 @@ class TestIntegerLayerAgainstReference:
 
     @given(p=ref_laurents, rate=st.sampled_from(REF_RATES))
     def test_derivatives(self, p, rate):
-        lp = _from_ref(p)
-        assert _agrees(lp.derivative(), _ref_derivative(p))
-        expected = _ref_add(_ref_derivative(p), _ref_scale(p, rate))
-        f = ExpPoly.of(GaussianRational(*rate), lp).derivative()
-        assert f == ExpPoly.of(GaussianRational(*rate), _from_ref(expected))
-        if not lp.is_zero():
-            (part,) = f.terms.values()
-            assert _agrees(part, expected)
+        assert _agrees(_from_ref(p).derivative(), _ref_derivative(p))
+        p, r = _ref_shift(p, 4), GaussianRational(*rate)  # exponents 0..8: a Poly part
+        part = _from_ref(p).to_poly()
+        expected = _from_ref(_ref_add(_ref_derivative(p), _ref_scale(p, rate))).to_poly()
+        assert part.derivative(r) == expected
+        assert ExpPoly.of(r, part).derivative() == ExpPoly.of(r, expected)
 
 
 # Reference for Poly: {degree: (re, im)} of plain Fractions, zero entries
@@ -374,18 +370,14 @@ class TestPolyAgainstModel:
     @given(a=any_polys)
     def test_laurent_round_trip(self, a):
         p = Poly(a)
-        matching = LaurentPoly({k: c for k, c in enumerate(p.coeffs)})
-        assert LaurentPoly.from_poly(p) == matching
-        assert LaurentPoly.from_poly(p).to_poly() == p
-        assert matching.to_poly() == p
+        assert LaurentPoly({k: c for k, c in enumerate(p.coeffs)}).to_poly() == p
 
-    @given(a=any_polys, b=any_polys, rates=st.tuples(rates, rates))
-    def test_exppoly_from_poly_parts(self, a, b, rates):
-        parts = [Poly(a), Poly(b)]
-        laurent = [LaurentPoly({k: c for k, c in enumerate(p.coeffs)}) for p in parts]
-        from_poly, from_laurent = ExpPoly(zip(rates, parts)), ExpPoly(zip(rates, laurent))
-        assert from_poly == from_laurent
-        assert from_poly.derivative() == from_laurent.derivative()
+    def test_exppoly_refuses_laurent_parts(self):
+        for part in (LaurentPoly({0: 1}), LaurentPoly({-1: 3}), 1, None):
+            with pytest.raises(TypeError):
+                ExpPoly([(1, X), (2, part)])
+            with pytest.raises(TypeError):
+                ExpPoly.of(1, part)
 
 
 # Reference for Poly.eval: Horner over (real, imaginary) pairs of plain
@@ -447,7 +439,7 @@ IMMUTABLE_VALUES = [
     GaussianRational(Fraction(-5, 3), Fraction(1, 2)),
     Poly([Fraction(1, 2), 0, I, -3]),
     LaurentPoly({-3: Fraction(2, 7), 0: 1, 2: I}),
-    ExpPoly([(I, Poly([1, 2])), (-1, LaurentPoly({-1: 3})), (0, X)]),
+    ExpPoly([(I, Poly([1, 2])), (-1, Poly.constant(3)), (0, X)]),
     series_Em(Fraction(-5, 3), 5),
 ]
 
