@@ -213,12 +213,8 @@ def s_explicit(n: int) -> Poly:
 
 
 def s_from_e(n: int) -> Poly:
-    """s_n(x) = (i^n/2) [(-1)^(n+1) e_n(ix) - e_n(-ix)], coefficients provably real."""
-    if n < 0:
-        return Poly.zero()
-    e = e_explicit(n)
-    combo = (-1) ** (n + 1) * e.scale_arg(I) - e.scale_arg(-I)
-    return ((I ** (n % 4) / 2) * combo).require_real("s_from_e")
+    """s_n(x) = (i^n/2) [(-1)^(n+1) e_n(ix) - e_n(-ix)] = -Re(e_n(ix)/i^n); zero for n < 0."""
+    return -e_explicit(n).scale_arg(I).real_over_i_power(n)
 
 
 def c_from_s(n: int) -> Poly:
@@ -227,12 +223,9 @@ def c_from_s(n: int) -> Poly:
 
 
 def c_from_e(n: int) -> Poly:
-    """c_n(x) = (i^n/2) [(-1)^n e_n(ix) + e_n(-ix)], coefficients provably real."""
-    if n < 0:
-        return Poly.zero()
-    e = e_explicit(n)
-    combo = (-1) ** n * e.scale_arg(I) + e.scale_arg(-I)
-    return ((I ** (n % 4) / 2) * combo).require_real("c_from_e")
+    """c_n(x) = (i^n/2) [(-1)^n e_n(ix) + e_n(-ix)] = Re(e_n(ix)/i^n), a sum of two conjugates
+    (e_n has real coefficients, so e_n(-ix) is the conjugate of e_n(ix)); zero for n < 0."""
+    return e_explicit(n).scale_arg(I).real_over_i_power(n)
 
 
 def shat(k: int) -> Poly:

@@ -196,15 +196,15 @@ def series_C(order: int) -> FormalSeries:
 def series_connection_check(order: int) -> CheckReport:
     """Verify -2S(x,t) = 2C(x,t) = E(ix,-it) + E(-ix,it) coefficientwise.
 
-    Substituting (ix, -it) maps the t^n coefficient p_n(x) of E to
-    p_n(ix) * (-i)^n, so both sides stay within Gaussian-rational series.
+    Substituting (ix, -it) maps the t^n coefficient p_n(x) of E to p_n(ix)/i^n,
+    and (-ix, it) to its conjugate (p_n is real), so the right side is 2 Re(p_n(ix)/i^n).
     """
     e = series_E(order)
     lhs_s = -2 * series_S(order)
     lhs_c = 2 * series_C(order)
     entries = []
     for n in range(order + 1):
-        rhs = e.coeff(n).scale_arg(I) * (-I) ** (n % 4) + e.coeff(n).scale_arg(-I) * I ** (n % 4)
+        rhs = 2 * e.coeff(n).scale_arg(I).real_over_i_power(n)
         ok = rhs == lhs_s.coeff(n) and rhs == lhs_c.coeff(n)
         entries.append((f"connection identity at t^{n}", ok))
     return CheckReport.of(entries)

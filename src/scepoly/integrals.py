@@ -86,13 +86,14 @@ def closed_form(kind: str, n: int, m=None) -> ClosedForm:
 # ---------------------------------------------------------------------------
 
 _HALF_I = I / 2
+_MINUS_I = -I
 
 
 def _lift_trig(cos_part: Poly, sin_part: Poly) -> ExpPoly:
     # cos x = (e^(ix) + e^(-ix))/2,  sin x = (e^(ix) - e^(-ix))/(2i)
     half_cos = cos_part * Fraction(1, 2)
     half_i_sin = sin_part * _HALF_I
-    return ExpPoly([(I, half_cos - half_i_sin), (-I, half_cos + half_i_sin)])
+    return ExpPoly([(I, half_cos - half_i_sin), (_MINUS_I, half_cos + half_i_sin)])
 
 
 def lift_closed_form(cf: ClosedForm) -> ExpPoly:
@@ -123,14 +124,14 @@ def s_rodrigues_sweep(n_max: int) -> Iterator[Poly]:
     """s_0, s_1, ..., s_{n_max} from the complex-exponential weight-derivative route:
 
     s_n(x) = (-i^n/2) x^(n+1) [ (-1)^n e^(-ix) d^n/dx^n (x^(-1) e^(ix))
-                               + e^(ix)  d^n/dx^n (x^(-1) e^(-ix)) ],
+                               + e^(ix)  d^n/dx^n (x^(-1) e^(-ix)) ]
+           = -Re(r_n / i^n),   r_n = x^(n+1) e^(-ix) d^n/dx^n (x^(-1) e^(ix)).
 
-    a combination of the Rodrigues parts at rates i and -i that must be real,
-    taken from one ``rodrigues_sweep`` at each rate.
+    The part at rate -i is the conjugate of r_n, so one ``rodrigues_sweep``
+    at rate i gives both halves of the sum.
     """
-    for n, (plus, minus) in enumerate(zip(rodrigues_sweep(I, n_max), rodrigues_sweep(-I, n_max))):
-        combo = plus * ((-1) ** n) + minus
-        yield (combo * (-(I ** (n % 4)) / 2)).require_real("s_rodrigues")
+    for n, part in enumerate(rodrigues_sweep(I, n_max)):
+        yield -part.real_over_i_power(n)
 
 
 def s_rodrigues(n: int) -> Poly:

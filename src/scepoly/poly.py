@@ -110,11 +110,10 @@ class Poly(_Numerators):
             return GaussianRational(Fraction(self.re[j], self.den), Fraction(self.im[j] if self.im else 0, self.den))
         return ZERO
 
-    def require_real(self, context: str) -> "Poly":
-        """Return self, or raise if any coefficient has an imaginary residue."""
-        if self.im:
-            raise ValueError(f"{context}: nonzero imaginary part in {self!r}")
-        return self
+    def real_over_i_power(self, n: int) -> "Poly":
+        """Re(p / i^n) coefficientwise: the numerators re, im, -re, -im for n = 0, 1, 2, 3 mod 4."""
+        parts, sign = ((self.re, 1), (self.im, 1), (self.re, -1), (self.im, -1))[n % 4]
+        return _make(Poly, self.lo, [sign * c for c in parts], (), self.den)
 
     # -- ring arithmetic --------------------------------------------------
 

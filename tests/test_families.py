@@ -319,6 +319,43 @@ class TestSinCosFamilies:
         assert c_from_e(-2).is_zero()
 
 
+CONJUGATE_N = 40
+
+
+def _conjugate(p: Poly) -> Poly:
+    return Poly([c.conjugate() for c in p.coeffs])
+
+
+class TestConjugateSums:
+    """The complex-argument routes read Re(p/i^n) from the rate-i half alone.  That is
+    the paper's sum of the halves at i and -i, written here with Gaussian-rational
+    arithmetic as the reference, because the -i half is the conjugate of the i half."""
+
+    def test_rodrigues_sweep_at_minus_i_is_the_conjugate(self):
+        plus, minus = list(rodrigues_sweep(I, CONJUGATE_N)), list(rodrigues_sweep(-I, CONJUGATE_N))
+        assert minus == [_conjugate(p) for p in plus]
+
+    def test_s_and_c_from_e(self):
+        for n in range(CONJUGATE_N + 1):
+            e = e_explicit(n)
+            assert s_from_e(n) == (I ** (n % 4) / 2) * ((-1) ** (n + 1) * e.scale_arg(I) - e.scale_arg(-I))
+            assert c_from_e(n) == (I ** (n % 4) / 2) * ((-1) ** n * e.scale_arg(I) + e.scale_arg(-I))
+
+    def test_s_rodrigues_sweep(self):
+        sweeps = zip(integrals.s_rodrigues_sweep(CONJUGATE_N), rodrigues_sweep(I, CONJUGATE_N),
+                     rodrigues_sweep(-I, CONJUGATE_N))
+        for n, (s, plus, minus) in enumerate(sweeps):
+            assert s == (plus * (-1) ** n + minus) * (-(I ** (n % 4)) / 2)
+
+    def test_connection_right_hand_side(self):
+        # series_connection_check passes only if its right-hand side equals 2C at every t^n.
+        e, two_c = genfunc.series_E(CONJUGATE_N), 2 * genfunc.series_C(CONJUGATE_N)
+        for n in range(CONJUGATE_N + 1):
+            p = e.coeff(n)
+            assert p.scale_arg(I) * (-I) ** (n % 4) + p.scale_arg(-I) * I ** (n % 4) == two_c.coeff(n)
+        assert genfunc.series_connection_check(CONJUGATE_N).all_passed
+
+
 class TestHattedFamilies:
     def test_negative_index_is_zero(self):
         assert shat(-1).is_zero()

@@ -100,6 +100,30 @@ class TestScaleArg:
         assert p.scale_arg(I).scale_arg(I) == p.scale_arg(-1)
 
 
+# Gaussian numerators (im nonempty), a positive offset and a common denominator above 1.
+offset_gaussian_polys = st.builds(
+    lambda p, k: p * Poly.monomial(k), polys, st.integers(1, 3)
+).filter(lambda p: p.im and p.den > 1)
+
+
+class TestRealOverIPower:
+    @given(p=offset_gaussian_polys, n=st.integers(-5, 8))
+    def test_matches_gaussian_division(self, p, n):
+        q = p.real_over_i_power(n)
+        assert not q.im and q.degree <= p.degree
+        assert all(q.coeff(k) == (p.coeff(k) / I**n).re for k in range(p.degree + 1))
+
+    def test_table_by_n_mod_4(self):
+        p = Poly([GaussianRational(Fraction(1, 2), 3), GaussianRational(-5, Fraction(1, 3))])
+        re, im = Poly([Fraction(1, 2), -5]), Poly([3, Fraction(1, 3)])
+        assert [p.real_over_i_power(n) for n in range(-4, 4)] == [re, im, -re, -im] * 2
+
+    def test_real_poly_at_odd_n_is_zero(self):
+        p = X**3 - Fraction(2, 3) * X
+        assert p.real_over_i_power(1).is_zero() and p.real_over_i_power(-1).is_zero()
+        assert p.real_over_i_power(2) == -p
+
+
 class TestLaurentPoly:
     def test_shift_and_to_poly(self):
         lp = LaurentPoly({-1: 1, 0: 2})
