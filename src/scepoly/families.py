@@ -34,7 +34,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterator
 
-from .poly import LaurentPoly, Poly, _derivative, _int_parts, _make
+from .poly import LaurentPoly, Poly, _derivative, _int_parts, _make, _raw
 from .rational import I, as_rate, as_rational
 from .report import CheckReport
 
@@ -104,17 +104,19 @@ def rodrigues_sweep(rate, n_max: int) -> Iterator[Poly]:
 
     Each derivative maps p(x) e^(rate x) to (p' + rate*p) e^(rate x), the
     ``_derivative`` kernel on the part p; the rate goes to integer parts
-    once, not once per step.  The iterate p has negative exponents, so it is
-    the package's one ``LaurentPoly``; each yielded x^(n+1)*p is a ``Poly``,
-    and ``to_poly`` raises on a negative exponent left over (an
-    implementation bug).
+    once, not once per step.  The iterate p starts at x^(-1), so it is the
+    package's one ``LaurentPoly``, made canonical once per step; x^(n+1)*p
+    takes the same numerators as a ``Poly``, and a negative exponent left
+    over (an implementation bug) raises ``ValueError``.
     """
     a, b, q = _int_parts(rate)
-    part = LaurentPoly({-1: 1})
+    part = _raw(LaurentPoly, -1, (1,), (), 1)
     for n in range(n_max + 1):
         if n:
             part = _make(LaurentPoly, *_derivative(part, a, b, q))
-        yield part.shift(n + 1).to_poly()
+        if part.lo + n + 1 < 0:
+            raise ValueError(f"negative exponents remain: {part!r}")
+        yield _raw(Poly, part.lo + n + 1, part.re, part.im, part.den)
 
 
 def rodrigues_part(rate, n: int) -> Poly:
@@ -213,8 +215,8 @@ def s_explicit(n: int) -> Poly:
 
 
 def s_from_e(n: int) -> Poly:
-    """s_n(x) = (i^n/2) [(-1)^(n+1) e_n(ix) - e_n(-ix)] = -Re(e_n(ix)/i^n); zero for n < 0."""
-    return -e_explicit(n).scale_arg(I).real_over_i_power(n)
+    """s_n(x) = (i^n/2) [(-1)^(n+1) e_n(ix) - e_n(-ix)] = -c_n(x), so ``-c_from_e(n)``; zero for n < 0."""
+    return -c_from_e(n)
 
 
 def c_from_s(n: int) -> Poly:

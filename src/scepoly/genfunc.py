@@ -160,52 +160,45 @@ def series_exp_xt(scale, order: int) -> FormalSeries:
     return FormalSeries(Poly.monomial(k, Fraction(p**k, q**k * factorial(k))) for k in range(order + 1))
 
 
-def _inv_one_plus_t(order: int) -> FormalSeries:
-    """1/(1+t) = sum (-1)^k t^k."""
-    return FormalSeries(Poly.constant((-1) ** k) for k in range(order + 1))
-
-
-def _inv_one_plus_t2(order: int) -> FormalSeries:
-    """1/(1+t^2) = sum (-1)^j t^(2j)."""
+def _inv_one_plus_t_power(k: int, order: int) -> FormalSeries:
+    """1/(1+t^k) = sum (-1)^j t^(kj)."""
     return FormalSeries(
-        Poly.constant((-1) ** (k // 2)) if k % 2 == 0 else Poly.zero()
-        for k in range(order + 1)
+        Poly.constant((-1) ** (i // k)) if i % k == 0 else Poly.zero() for i in range(order + 1)
     )
-
-
-def series_E(order: int) -> FormalSeries:
-    """e^(xt)/(1+t); n!*[t^n] is e_n."""
-    return series_exp_xt(1, order) * _inv_one_plus_t(order)
 
 
 def series_Em(m, order: int) -> FormalSeries:
     """e^(mxt)/(1+t); n!*[t^n] is e_n^(m)."""
-    return series_exp_xt(as_rate(m), order) * _inv_one_plus_t(order)
+    return series_exp_xt(as_rate(m), order) * _inv_one_plus_t_power(1, order)
 
 
-def series_S(order: int) -> FormalSeries:
-    """-e^(xt)/(1+t^2); n!*[t^n] is s_n."""
-    return -(series_exp_xt(1, order) * _inv_one_plus_t2(order))
+def series_E(order: int) -> FormalSeries:
+    """e^(xt)/(1+t), E_m at m = 1; n!*[t^n] is e_n."""
+    return series_Em(1, order)
 
 
 def series_C(order: int) -> FormalSeries:
     """e^(xt)/(1+t^2); n!*[t^n] is c_n."""
-    return series_exp_xt(1, order) * _inv_one_plus_t2(order)
+    return series_exp_xt(1, order) * _inv_one_plus_t_power(2, order)
+
+
+def series_S(order: int) -> FormalSeries:
+    """-e^(xt)/(1+t^2) = -C; n!*[t^n] is s_n."""
+    return -series_C(order)
 
 
 def series_connection_check(order: int) -> CheckReport:
     """Verify -2S(x,t) = 2C(x,t) = E(ix,-it) + E(-ix,it) coefficientwise.
 
     Substituting (ix, -it) maps the t^n coefficient p_n(x) of E to p_n(ix)/i^n,
-    and (-ix, it) to its conjugate (p_n is real), so the right side is 2 Re(p_n(ix)/i^n).
+    and (-ix, it) to its conjugate (p_n is real), so the identity halves to
+    -s = c = Re(p_n(ix)/i^n) at each t^n, with s and c the coefficients of S and C.
     """
-    e = series_E(order)
-    lhs_s = -2 * series_S(order)
-    lhs_c = 2 * series_C(order)
+    e, s, c = series_E(order), series_S(order), series_C(order)
     entries = []
     for n in range(order + 1):
-        rhs = 2 * e.coeff(n).scale_arg(I).real_over_i_power(n)
-        ok = rhs == lhs_s.coeff(n) and rhs == lhs_c.coeff(n)
+        rhs = e.coeff(n).scale_arg(I).real_over_i_power(n)
+        ok = rhs == -s.coeff(n) and rhs == c.coeff(n)
         entries.append((f"connection identity at t^{n}", ok))
     return CheckReport.of(entries)
 
@@ -249,12 +242,12 @@ class LinearHGSpec:
         return a * dy.derivative() + b * dy + self.lambda_n(n) * y
 
 
-E_SPEC = LinearHGSpec(1, 0, 1, 0, -1)
-
-
 def em_spec(m) -> LinearHGSpec:
     """The equation x*y'' + (mx - n)*y' - mn*y = 0 of the rate-m family."""
     return LinearHGSpec(1, 0, as_rate(m), 0, -1)
+
+
+E_SPEC = em_spec(1)
 
 
 def laguerre_spec(alpha_l) -> LinearHGSpec:

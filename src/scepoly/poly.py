@@ -9,8 +9,8 @@ are passes over Python ints by kernels the two classes share.
 ``GaussianRational`` appears only at the edges: scalars and rates in,
 ``coeffs``, ``coeff`` and ``eval`` out.  A ``Poly`` has lo >= 0; a
 ``LaurentPoly`` may go below.  It is only the iterate of the Rodrigues
-derivative of x^(-1)*e^(rx) (``families.rodrigues_sweep``), which hands
-each result on as a ``Poly``.
+derivative of x^(-1)*e^(rx) (``families.rodrigues_sweep``), which yields
+each iterate's numerators, shifted to x^(n+1)*p, as a ``Poly``.
 
 ``ExpPoly`` is a finite sum of terms p_k(x)*e^(mu_k x) with ``Poly`` parts
 and pairwise distinct Gaussian-rational rates mu_k, closed under
@@ -375,18 +375,8 @@ class LaurentPoly(_Numerators):
 
     __rmul__ = __mul__
 
-    def shift(self, k: int) -> "LaurentPoly":
-        """Multiply by x^k (k may be negative)."""
-        return _make(LaurentPoly, self.lo + k, self.re, self.im, self.den)
-
     def derivative(self) -> "LaurentPoly":
         return _make(LaurentPoly, *_derivative(self, 0, 0, 1))
-
-    def to_poly(self) -> Poly:
-        """Convert to a Poly; negative exponents indicate an upstream bug."""
-        if self.lo < 0:
-            raise ValueError(f"negative exponents remain: {self!r}")
-        return _raw(Poly, self.lo, self.re, self.im, self.den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentPoly):

@@ -20,8 +20,9 @@ _EM_RATES = (Fraction(1), Fraction(2), Fraction(-1), Fraction(1, 2))
 
 
 def _suite_routes(max_n: int) -> CheckReport:
-    # The iterated routes run as one sweep each.  e_rodrigues stays per n: the
-    # benchmark's tracer times the families.rodrigues layer through it.
+    # The iterated routes run as one sweep each, and the complex-argument route
+    # is built once per n (s_from_e(n) is -c_from_e(n)).  e_rodrigues stays per
+    # n: the benchmark's tracer times the families.rodrigues layer through it.
     em_rates = _EM_RATES[1:]
     sweeps = zip(
         families.e_recurrence_sweep(max_n),
@@ -37,10 +38,10 @@ def _suite_routes(max_n: int) -> CheckReport:
         entries.append((f"em_{n}(1) = e_{n}", families.em_explicit(n, 1) == e))
         for m, part in zip(em_rates, em_rodrigues):
             entries.append((f"em_{n}(m={m}): explicit = rodrigues", families.em_explicit(n, m) == part))
-        s = families.s_explicit(n)
-        entries.append((f"s_{n}: explicit = complex-argument route", s == families.s_from_e(n)))
+        s, c_e = families.s_explicit(n), families.c_from_e(n)
+        entries.append((f"s_{n}: explicit = complex-argument route", s == -c_e))
         entries.append((f"s_{n}: explicit = derivative route", s == s_rodrigues))
-        entries.append((f"c_{n}: -s_{n} = complex-argument route", families.c_from_s(n) == families.c_from_e(n)))
+        entries.append((f"c_{n}: -s_{n} = complex-argument route", families.c_from_s(n) == c_e))
     return CheckReport.of(entries)
 
 

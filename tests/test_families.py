@@ -5,7 +5,7 @@ from math import factorial
 
 import pytest
 
-from scepoly import families, genfunc, integrals
+from scepoly import families, genfunc, integrals, poly
 from scepoly.families import (
     antideriv_poly_exp,
     c_from_e,
@@ -178,6 +178,31 @@ class TestSweeps:
     @pytest.mark.parametrize("rate", [1, 2, -1, Fraction(1, 2), Fraction(-5, 3), I, -I])
     def test_rodrigues_sweep_matches_per_n(self, rate):
         assert list(rodrigues_sweep(rate, 40)) == [rodrigues_part(rate, n) for n in range(41)]
+
+    @pytest.mark.parametrize("rate", [1, 2, Fraction(-5, 3), I])
+    def test_rodrigues_sweep_normalises_once_per_derivative(self, rate, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return normalise(*args)
+
+        normalise = poly._normalise
+        monkeypatch.setattr(poly, "_normalise", spy)
+        assert len(list(rodrigues_sweep(rate, 10))) == 11
+        assert len(calls) == 10
+
+    def test_rodrigues_sweep_rejects_negative_exponents(self, monkeypatch):
+        # A derivative that lowers the exponent offset one step too far is an implementation bug.
+        derivative = families._derivative
+
+        def too_low(*args):
+            lo, *rest = derivative(*args)
+            return lo - 1, *rest
+
+        monkeypatch.setattr(families, "_derivative", too_low)
+        with pytest.raises(ValueError, match="negative exponents remain"):
+            list(rodrigues_sweep(1, 3))
 
     def test_recurrence_sweep_matches_per_n(self):
         assert list(e_recurrence_sweep(40)) == [e_recurrence(n) for n in range(41)]

@@ -2,8 +2,9 @@
 
 import pytest
 
-from scepoly import cli, suites
-from scepoly.rational import GaussianRational
+from scepoly import cli, families, suites
+from scepoly.poly import Poly
+from scepoly.rational import I, GaussianRational
 from scepoly.suites import VERIFY_SUITES, run_suite
 
 
@@ -59,3 +60,24 @@ def test_all_at_max_n_24_does_no_gaussian_arithmetic(monkeypatch):
     report = run_suite("all", 24)
     assert report.all_passed, report.failures
     assert calls == [], f"{len(calls)} calls: {sorted(set(calls))}"
+
+
+def test_routes_build_e_of_ix_once_per_index(monkeypatch):
+    # The complex-argument route is c_from_e(n) alone; s_from_e(n) is its negative.
+    scaled, explicit = [], []
+    scale_arg, e_explicit = Poly.scale_arg, families.e_explicit
+
+    def scale_spy(p, c):
+        if c == I:
+            scaled.append(p)
+        return scale_arg(p, c)
+
+    def explicit_spy(n):
+        explicit.append(n)
+        return e_explicit(n)
+
+    monkeypatch.setattr(Poly, "scale_arg", scale_spy)
+    monkeypatch.setattr(families, "e_explicit", explicit_spy)
+    report = run_suite("routes", 24)
+    assert report.all_passed, report.failures
+    assert (len(scaled), len(explicit)) == (25, 50)
