@@ -8,10 +8,11 @@ separately so they can be cross-checked exactly:
 * ``e_rodrigues``   e_n = x^(n+1) e^(-x) d^n/dx^n (x^(-1) e^x)
 * ``e_laguerre``    e_n = n! * L_n^(-n-1)(-x)
 
-together with the generalized-rate family e_n^(m) (explicit + Rodrigues),
-the sine/cosine families s_n, c_n and their hatted companions, and the
-recurrence groups linking all of them.  All Rodrigues routes (e, e^(m) and
-s) share one derivative, ``rodrigues_sweep``.
+together with the generalized-rate family e_n^(m)(x) = e_n(mx) (explicit,
+as ``e_explicit`` at the scaled argument, and Rodrigues), the sine/cosine
+families s_n, c_n and their hatted companions, and the recurrence groups
+linking all of them.  All Rodrigues routes (e, e^(m) and s) share one
+derivative, ``rodrigues_sweep``.
 
 The iterated routes are sweeps that yield indices 0..n_max, each iterate
 from the one before; the per-n function is the last element of its sweep,
@@ -162,17 +163,8 @@ def e_laguerre(n: int) -> Poly:
 # ---------------------------------------------------------------------------
 
 def em_explicit(n: int, m) -> Poly:
-    """e_n^(m)(x) = m^n x^n + sum_{l=0}^{n-1} (-1)^(l+n) m^l (n!/l!) x^l."""
-    m = as_rate(m)
-    if n < 0:
-        return Poly.zero()
-    # Over the common denominator q^n, with m = p/q, the numerator of x^l is
-    # (-1)^(l+n) p^l q^(n-l) n!/l!: the one before times -p/((l+1)q), exactly.
-    p, q = m.as_integer_ratio()
-    re = [(-1) ** n * q**n * factorial(n)]
-    for l in range(n):
-        re.append(-re[l] * p // ((l + 1) * q))
-    return Poly.from_numerators(re, den=q**n)
+    """e_n^(m)(x) = e_n(mx) = m^n x^n + sum_{l=0}^{n-1} (-1)^(l+n) m^l (n!/l!) x^l."""
+    return e_explicit(n).scale_arg(as_rate(m))
 
 
 def em_rodrigues(n: int, m) -> Poly:

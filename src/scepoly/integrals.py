@@ -307,8 +307,9 @@ _GK15_CENTRE = (0.209482141084727828012999174891714, 0.4179591836734693877551020
 # QUADPACK's rounding floor: no panel claims an error below 50 ulps of the
 # integral of |f| over it.
 _ROUNDING_FLOOR = 50.0 * sys.float_info.epsilon
-# The deepest a panel may be bisected (the whole interval is depth 0).
-_MAX_DEPTH = 50
+# The most panels one call may evaluate, the whole interval included: the
+# work budget of QUADPACK's subinterval ``limit``.
+_MAX_PANELS = 2000
 
 
 def _gauss_kronrod(f: Callable[[float], float], lo: float, hi: float) -> tuple[float, float, float]:
@@ -356,9 +357,9 @@ def quad_adaptive(
     one with the largest error estimate, until the estimates sum to at most
     ``tol`` or the worst panel's estimate is at its own rounding floor (50
     ulps of the integral of |f| over it), below which bisection cannot help.
-    Each panel's estimate is QUADPACK's (see ``_gauss_kronrod``).  Needing
-    to bisect a panel at depth ``_MAX_DEPTH`` (50) raises.  Independent of
-    the closed forms by construction.
+    Each panel's estimate is QUADPACK's (see ``_gauss_kronrod``).  A
+    bisection that would take the panels evaluated past ``_MAX_PANELS``
+    (2000) raises.  Independent of the closed forms by construction.
 
     Args:
         kind: one of 'sin', 'cos', 'exp'.
@@ -380,26 +381,25 @@ def quad_adaptive(
 
     f = integrand_function(kind, n, m)
     value, error, floor = _gauss_kronrod(f, a, b)
-    # Entries (-error, lo, hi, value, floor, depth): heapq pops the largest
-    # error first.
-    heap = [(-error, a, b, value, floor, 0)]
+    # Entries (-error, lo, hi, value, floor): heapq pops the largest error
+    # first.
+    heap = [(-error, a, b, value, floor)]
     panels = 1
     # The running sum is recomputed each step: subtracting a bisected panel's
     # large estimate from it would leave rounding residue above tol.
     while math.fsum(-entry[0] for entry in heap) > tol:
-        neg_error, lo, hi, _, floor, depth = heap[0]
+        neg_error, lo, hi, _, floor = heap[0]
         if -neg_error <= floor:
             break
-        if depth >= _MAX_DEPTH:
+        if panels + 2 > _MAX_PANELS:
             raise ValueError(
-                f"quadrature failed to converge within depth {_MAX_DEPTH} "
-                f"on [{lo}, {hi}]"
+                f"quadrature failed to converge within {_MAX_PANELS} panels on [{a}, {b}]"
             )
         heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
         for part_lo, part_hi in ((lo, mid), (mid, hi)):
             value, error, floor = _gauss_kronrod(f, part_lo, part_hi)
-            heapq.heappush(heap, (-error, part_lo, part_hi, value, floor, depth + 1))
+            heapq.heappush(heap, (-error, part_lo, part_hi, value, floor))
             panels += 1
     return QuadResult(
         math.fsum(entry[3] for entry in heap),

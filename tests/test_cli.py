@@ -584,21 +584,39 @@ class TestGenfuncCommand:
         assert (code, out, err) == (0, expected + "\n", "")
 
 
+def run_module(*argv, timeout=None):
+    """Run ``python -m scepoly.cli`` in a child process.
+
+    The child does not inherit pytest's pythonpath setting, so an uninstalled
+    checkout needs its src/ put on the child's path.
+    """
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "scepoly.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=timeout,
+    )
+
+
 class TestConsoleEntry:
     def test_module_invocation(self):
-        # The child does not inherit pytest's pythonpath setting, so an
-        # uninstalled checkout needs its src/ put on the child's path.
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-        proc = subprocess.run(
-            [sys.executable, "-m", "scepoly.cli", "poly", "e", "--n", "2"],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
+        proc = run_module("poly", "e", "--n", "2")
         assert proc.returncode == 0
         assert proc.stdout == "x^2 - 2x + 2\n"
+
+    def test_wide_check_exhausts_the_panel_cap_quickly(self):
+        # Every panel of [0, 1e16] has a large error, so only the panel cap
+        # ends the oracle; the request must fail fast, not run on.
+        proc = run_module(
+            "integrate", "--kind", "cos", "--n", "0", "--a", "0", "--b", "1e16", "--check",
+            timeout=10,
+        )
+        assert proc.returncode == 2
+        assert "quadrature failed to converge" in proc.stderr
 
     def test_poly_csv_layout(self, capsys):
         code, out, _ = run_cli(capsys, "poly", "e", "--n", "1", "--format", "csv")

@@ -375,9 +375,9 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             integrand_function("sinh", 1)
 
-    def test_depth_exhaustion_is_explicit(self, monkeypatch):
-        monkeypatch.setattr(integrals, "_MAX_DEPTH", 0)
-        with pytest.raises(ValueError, match="depth"):
+    def test_panel_cap_is_explicit(self, monkeypatch):
+        monkeypatch.setattr(integrals, "_MAX_PANELS", 1)
+        with pytest.raises(ValueError, match="quadrature failed to converge within 1 panels"):
             quad_adaptive("sin", 3, 1, 0.0, 3.0, tol=1e-13)
 
     def test_random_intervals_all_kinds(self):

@@ -64,6 +64,8 @@ def test_all_at_max_n_24_does_no_gaussian_arithmetic(monkeypatch):
 
 def test_routes_build_e_of_ix_once_per_index(monkeypatch):
     # The complex-argument route is c_from_e(n) alone; s_from_e(n) is its negative.
+    # em_explicit(n, m) is e_explicit(n).scale_arg(m), so each of the suite's
+    # four rates adds one e_explicit call per index and no scale_arg(I).
     scaled, explicit = [], []
     scale_arg, e_explicit = Poly.scale_arg, families.e_explicit
 
@@ -80,4 +82,4 @@ def test_routes_build_e_of_ix_once_per_index(monkeypatch):
     monkeypatch.setattr(families, "e_explicit", explicit_spy)
     report = run_suite("routes", 24)
     assert report.all_passed, report.failures
-    assert (len(scaled), len(explicit)) == (25, 50)
+    assert (len(scaled), len(explicit)) == (25, 150)
