@@ -6,11 +6,11 @@ The three closed forms are
     int x^n cos x dx  =  c_n(x) sin x + chat_{n-1}(x) cos x + const
     int x^n e^(mx) dx =  P(x) e^(mx) + const,   P' + m*P = x^n
 
-Verification is dual-route: ``check_antiderivative`` lifts a closed form
-into exponential-polynomial form (sin and cos become combinations of
-e^(ix) and e^(-ix)) and differentiates exactly, while ``quad_adaptive`` is
-an independent floating-point oracle (global adaptive Gauss-Kronrod 7-15
-with QUADPACK's error estimate) that never touches the closed forms.
+Verification is dual-route: ``check_antiderivative`` lifts a closed form F
+to one exponential-polynomial term with F = Re(lift) and differentiates it
+exactly, while ``quad_adaptive`` is an independent floating-point oracle
+(global adaptive Gauss-Kronrod 7-15 with QUADPACK's error estimate) that
+never touches the closed forms.
 """
 
 from __future__ import annotations
@@ -85,26 +85,21 @@ def closed_form(kind: str, n: int, m=None) -> ClosedForm:
 # Exact verification via exponential-polynomial lifting
 # ---------------------------------------------------------------------------
 
-_HALF_I = I / 2
-_MINUS_I = -I
-
 
 def _lift_trig(cos_part: Poly, sin_part: Poly) -> ExpPoly:
-    # cos x = (e^(ix) + e^(-ix))/2,  sin x = (e^(ix) - e^(-ix))/(2i)
-    half_cos = cos_part * Fraction(1, 2)
-    half_i_sin = sin_part * _HALF_I
-    return ExpPoly([(I, half_cos - half_i_sin), (_MINUS_I, half_cos + half_i_sin)])
+    """P cos x + Q sin x = Re((P - iQ) e^(ix)) for real P, Q: one term at the rate i."""
+    return ExpPoly.of(I, cos_part - sin_part * I)
 
 
 def lift_closed_form(cf: ClosedForm) -> ExpPoly:
-    """The antiderivative as an exact exponential polynomial."""
+    """The antiderivative F as an exact exponential polynomial with F = Re(lift)."""
     if cf.kind == "exp":
         return ExpPoly.of(cf.m, cf.exp_part)
     return _lift_trig(cf.cos_part, cf.sin_part)
 
 
 def lift_integrand(kind: str, n: int, m=1) -> ExpPoly:
-    """x^n * {sin x | cos x | e^(mx)} as an exact exponential polynomial."""
+    """x^n * {sin x | cos x | e^(mx)} as an exact exponential polynomial whose real part it is."""
     xn = Poly.monomial(n)
     if kind == "exp":
         return ExpPoly.of(as_rational(m), xn)
@@ -116,7 +111,8 @@ def lift_integrand(kind: str, n: int, m=1) -> ExpPoly:
 
 
 def check_antiderivative(cf: ClosedForm) -> bool:
-    """True iff d/dx(cf) equals x^n * basis exactly."""
+    """True iff d/dx(cf) equals x^n * basis exactly: both are Re(lift), d/dx Re(lift) = Re(d/dx lift)
+    for real x, and for a non-real rate mu, Re(h e^(mu x)) = 0 only when the polynomial h is 0."""
     return lift_closed_form(cf).derivative() == lift_integrand(cf.kind, cf.n, cf.m)
 
 
@@ -142,8 +138,8 @@ def s_rodrigues(n: int) -> Poly:
 def antiderivative_recurrence_report(n_max: int) -> CheckReport:
     """Integration-by-parts recurrences at the antiderivative level.
 
-    Checks, in exact exponential-polynomial form, that each difference below
-    is a constant, i.e. that its derivative vanishes:
+    Checks, in exact exponential-polynomial form F = Re(lift) (see ``check_antiderivative``),
+    that each difference below is a constant, i.e. that its derivative vanishes:
 
         S_n - [-x^n cos x + n C_{n-1}]
         C_n - [ x^n sin x - n S_{n-1}]
@@ -194,13 +190,15 @@ def _value_mp(cf: ClosedForm, x: float, values: list[Fraction]):
 
 
 def _exact_value(cf: ClosedForm, points) -> Optional[Fraction]:
-    """The value if rational, else None.  By Lindemann-Weierstrass a sum of c*e^(rate*x) over Gaussian
-    rationals is rational iff every c at a nonzero exponent is 0 once equal exponents are merged."""
+    """The value if rational, else None.  F = Re(lift) is half the sum of each term c*e^(rate*x) and its conjugate;
+    by Lindemann-Weierstrass that sum is rational iff every c at a nonzero exponent is 0 once equal exponents merge."""
     merged = {0: ZERO}
     for rate, part in lift_closed_form(cf).terms.items():
         for sign, x in zip((1, -1), map(Fraction, points)):
-            merged[rate * x] = merged.get(rate * x, ZERO) + sign * part.eval(x)
-    return None if any(c for e, c in merged.items() if e != 0) else merged[0].re
+            c = sign * part.eval(x)
+            for e, v in ((rate * x, c), (rate.conjugate() * x, c.conjugate())):
+                merged[e] = merged.get(e, ZERO) + v
+    return None if any(c for e, c in merged.items() if e != 0) else merged[0].re / 2
 
 
 def _rounds_to_zero(cf: ClosedForm, b: float, a: float) -> bool:
@@ -359,7 +357,8 @@ def quad_adaptive(
     ulps of the integral of |f| over it), below which bisection cannot help.
     Each panel's estimate is QUADPACK's (see ``_gauss_kronrod``).  A
     bisection that would take the panels evaluated past ``_MAX_PANELS``
-    (2000) raises.  Independent of the closed forms by construction.
+    (2000) raises, and so do an interval whose midpoint or width overflows
+    and an integrand that overflows.  Independent of the closed forms by construction.
 
     Args:
         kind: one of 'sin', 'cos', 'exp'.
@@ -378,29 +377,34 @@ def quad_adaptive(
         raise ValueError("tol must be positive")
     if a == b:
         return QuadResult(0.0, 0.0, 0)
+    if math.isinf(a + b) or math.isinf(b - a):
+        raise ValueError(f"quadrature failed: the midpoint or width of [{a}, {b}] overflows double precision")
 
     f = integrand_function(kind, n, m)
-    value, error, floor = _gauss_kronrod(f, a, b)
-    # Entries (-error, lo, hi, value, floor): heapq pops the largest error
-    # first.
-    heap = [(-error, a, b, value, floor)]
-    panels = 1
-    # The running sum is recomputed each step: subtracting a bisected panel's
-    # large estimate from it would leave rounding residue above tol.
-    while math.fsum(-entry[0] for entry in heap) > tol:
-        neg_error, lo, hi, _, floor = heap[0]
-        if -neg_error <= floor:
-            break
-        if panels + 2 > _MAX_PANELS:
-            raise ValueError(
-                f"quadrature failed to converge within {_MAX_PANELS} panels on [{a}, {b}]"
-            )
-        heapq.heappop(heap)
-        mid = 0.5 * (lo + hi)
-        for part_lo, part_hi in ((lo, mid), (mid, hi)):
-            value, error, floor = _gauss_kronrod(f, part_lo, part_hi)
-            heapq.heappush(heap, (-error, part_lo, part_hi, value, floor))
-            panels += 1
+    try:
+        value, error, floor = _gauss_kronrod(f, a, b)
+        # Entries (-error, lo, hi, value, floor): heapq pops the largest error
+        # first.
+        heap = [(-error, a, b, value, floor)]
+        panels = 1
+        # The running sum is recomputed each step: subtracting a bisected panel's
+        # large estimate from it would leave rounding residue above tol.
+        while math.fsum(-entry[0] for entry in heap) > tol:
+            neg_error, lo, hi, _, floor = heap[0]
+            if -neg_error <= floor:
+                break
+            if panels + 2 > _MAX_PANELS:
+                raise ValueError(
+                    f"quadrature failed to converge within {_MAX_PANELS} panels on [{a}, {b}]"
+                )
+            heapq.heappop(heap)
+            mid = 0.5 * (lo + hi)
+            for part_lo, part_hi in ((lo, mid), (mid, hi)):
+                value, error, floor = _gauss_kronrod(f, part_lo, part_hi)
+                heapq.heappush(heap, (-error, part_lo, part_hi, value, floor))
+                panels += 1
+    except OverflowError:
+        raise ValueError(f"quadrature failed: the integrand overflows double precision on [{a}, {b}]") from None
     return QuadResult(
         math.fsum(entry[3] for entry in heap),
         math.fsum(-entry[0] for entry in heap),

@@ -15,7 +15,8 @@ each iterate's numerators, shifted to x^(n+1)*p, as a ``Poly``.
 ``ExpPoly`` is a finite sum of terms p_k(x)*e^(mu_k x) with ``Poly`` parts
 and pairwise distinct Gaussian-rational rates mu_k, closed under
 differentiation: it differentiates weight-function products and
-trigonometric closed forms (sin/cos lifted to complex exponentials) exactly.
+trigonometric closed forms exactly, P cos x + Q sin x being the real part
+of one term (P - iQ) e^(ix) at the rate i.
 
 No polynomial division lives here; nothing downstream needs it.  All values
 are immutable and operations are pure; they copy and pickle by their

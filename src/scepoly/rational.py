@@ -10,8 +10,8 @@ families exactly; they form the field Q(i).
 operator is the one Q(i) formula for it, whether or not its operands are
 real.  The polynomial layers keep their coefficients as integer numerators,
 so these values appear only at the edges: scalars and rates in, coefficients
-out.  ``verify`` does no Q(i) arithmetic at all: its rates i and -i are
-dict keys of ``ExpPoly`` or arguments turned into integers once.
+out.  ``verify`` does no Q(i) arithmetic at all: its one Gaussian rate, i,
+is a dict key of ``ExpPoly`` or an argument turned into integers once.
 
 All values are immutable and every operation is a pure function, so
 everything here is safe to share across threads.

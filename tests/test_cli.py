@@ -425,6 +425,28 @@ class TestBadBounds:
         assert err == "error: definite integral overflows double precision\n"
 
 
+class TestQuadratureOverflow:
+    """A --check request whose interval or integrand overflows a double is a quadrature failure."""
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [["--a", "-1e308", "--b", "1e308"], ["--a", "1e308", "--b", "1.7e308"]],
+    )
+    def test_overflowing_interval(self, capsys, bounds):
+        code, out, err = run_cli(capsys, "integrate", "--kind", "cos", "--n", "0", *bounds, "--check")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: quadrature failed")
+
+    def test_overflowing_integrand(self, capsys, monkeypatch):
+        # 65536^64 = 2^1024 is past the largest double, though the integral is not.
+        monkeypatch.setenv("SCE_MAX_N", "100")
+        code, out, err = run_cli(
+            capsys, "integrate", "--kind", "sin", "--n", "64", "--a", "65536", "--b", "65536.00000000001", "--check"
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: quadrature failed")
+
+
 class TestIntegrateCommand:
     def test_definite_value(self, capsys):
         code, out, _ = run_cli(

@@ -2,6 +2,7 @@ import math
 import random
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import mpmath
 import pytest
@@ -25,7 +26,8 @@ from scepoly.integrals import (
     s_rodrigues,
     s_rodrigues_sweep,
 )
-from scepoly.poly import Poly
+from scepoly.poly import ExpPoly, Poly
+from scepoly.rational import I, ZERO
 
 X = Poly.x()
 
@@ -83,9 +85,31 @@ class TestSymbolicVerification:
         broken = replace(cf, cos_part=cf.cos_part + 1 + X)
         assert not check_antiderivative(broken)
 
-    def test_lift_is_single_pair_of_rates(self):
-        lifted = lift_closed_form(closed_form("sin", 5))
-        assert len(lifted.terms) == 2
+    def test_lift_is_one_term_at_rate_i(self):
+        # F = Re(lift): P cos x + Q sin x = Re((P - iQ) e^(ix)).
+        for kind in ("sin", "cos"):
+            for n in range(8):
+                cf = closed_form(kind, n)
+                assert lift_closed_form(cf).terms == {I: cf.cos_part - cf.sin_part * I}
+        for m in EXP_RATES:
+            cf = closed_form("exp", 5, m)
+            assert lift_closed_form(cf).terms == {m: cf.exp_part}
+
+    def test_every_sign_flip_or_swap_of_a_trig_form_fails(self):
+        # A one-term lift must still see both parts and their signs.
+        rejected = 0
+        for kind in ("sin", "cos"):
+            for n in range(11):
+                cf = closed_form(kind, n)
+                p, q = cf.cos_part, cf.sin_part
+                for (u, v), su, sv in product([(p, q), (q, p)], (1, -1), (1, -1)):
+                    cos_part, sin_part = su * u, sv * v
+                    if (cos_part, sin_part) == (p, q):
+                        continue
+                    assert not check_antiderivative(replace(cf, cos_part=cos_part, sin_part=sin_part)), (kind, n)
+                    rejected += 1
+        # 7 mutants per form; at n = 0 one part is 0, so one sign flip of each form is the form itself.
+        assert rejected == 2 * 11 * 7 - 2
 
 
 class TestSRodrigues:
@@ -305,6 +329,40 @@ class TestCorrectRounding:
         # One near 5e-321 is above the size bound and is evaluated.
         assert definite_integral(closed_form("cos", 1), 0.0, 1e-160) > 0
         assert points[:2] == [1e-160, 0.0]
+
+
+def _two_rate_exact_value(cf, points):
+    """``integrals._exact_value`` with sin and cos lifted to the conjugate pair
+    (P/2 - iQ/2) e^(ix) + (P/2 + iQ/2) e^(-ix): the lift is the value itself."""
+    if cf.kind == "exp":
+        terms = ExpPoly.of(cf.m, cf.exp_part).terms
+    else:
+        half_cos, half_i_sin = cf.cos_part * Fraction(1, 2), cf.sin_part * (I / 2)
+        terms = ExpPoly([(I, half_cos - half_i_sin), (-I, half_cos + half_i_sin)]).terms
+    merged = {0: ZERO}
+    for rate, part in terms.items():
+        for sign, x in zip((1, -1), map(Fraction, points)):
+            merged[rate * x] = merged.get(rate * x, ZERO) + sign * part.eval(x)
+    return None if any(c for e, c in merged.items() if e != 0) else merged[0].re
+
+
+class TestExactValue:
+    def test_matches_the_two_rate_formula(self):
+        rng = random.Random(23)
+        forms = [("sin", None), ("cos", None)] + [("exp", m) for m in (1, 2, -1, Fraction(-5, 3))]
+        xs = [1.5, -2.25, 0.1, 3.0] + [rng.uniform(-10, 10) for _ in range(4)]
+        point_lists = [[0.0, 0.0], [0.0]]
+        for x in xs:
+            point_lists += [[x, -x], [x, 0.0], [0.0, x], [x, x], [x], [x, rng.uniform(-10, 10)]]
+        outcomes = set()
+        for kind, m in forms:
+            for n in range(9):
+                cf = closed_form(kind, n, m)
+                for points in point_lists:
+                    value = integrals._exact_value(cf, points)
+                    assert value == _two_rate_exact_value(cf, points), (kind, m, n, points)
+                    outcomes.add("irrational" if value is None else "zero" if value == 0 else "nonzero")
+        assert outcomes == {"irrational", "zero", "nonzero"}
 
 
 def _reference_rounds_to_zero(kind, n, m, b, a):

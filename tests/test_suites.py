@@ -3,6 +3,7 @@
 import pytest
 
 from scepoly import cli, families, suites
+from scepoly.genfunc import FormalSeries
 from scepoly.poly import Poly
 from scepoly.rational import I, GaussianRational
 from scepoly.suites import VERIFY_SUITES, run_suite
@@ -83,3 +84,20 @@ def test_routes_build_e_of_ix_once_per_index(monkeypatch):
     report = run_suite("routes", 24)
     assert report.all_passed, report.failures
     assert (len(scaled), len(explicit)) == (25, 150)
+
+
+def test_genfunc_builds_each_series_product_once(monkeypatch):
+    # E, C and E_2 at max-n, and E and C again in the connection check at
+    # order 20; S is the suite's own -C.
+    orders = []
+    mul = FormalSeries.__mul__
+
+    def spy(a, b):
+        if isinstance(b, FormalSeries):
+            orders.append(a.order)
+        return mul(a, b)
+
+    monkeypatch.setattr(FormalSeries, "__mul__", spy)
+    report = run_suite("genfunc", 24)
+    assert report.all_passed, report.failures
+    assert orders == [24, 24, 24, 20, 20]
