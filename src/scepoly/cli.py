@@ -189,13 +189,12 @@ def render_series_latex(fs: genfunc.FormalSeries) -> str:
 def render_closed_form_text(cf: integrals.ClosedForm) -> str:
     """E.g. '(x^2 - 2x + 2) e^x + C' or '-x cos x + sin x + C'."""
     if cf.kind == "exp":
-        exponent = "x" if cf.m == 1 else f"({render_poly_text(Poly.monomial(1, cf.m))})"
-        term_list = [(cf.exp_part, f"e^{exponent}")]
-    elif cf.kind == "sin":
-        term_list = [(cf.cos_part, "cos x"), (cf.sin_part, "sin x")]
+        exponent = "x" if cf.rate.re == 1 else f"({render_poly_text(Poly.monomial(1, cf.rate.re))})"
+        term_list = [(cf.part, f"e^{exponent}")]
     else:
-        term_list = [(cf.sin_part, "sin x"), (cf.cos_part, "cos x")]
-    pieces = [_times_basis(p, basis) for p, basis in term_list if not p.is_zero()]
+        p, q = cf.part.real_over_i_power(0), cf.part.real_over_i_power(3)  # F = p cos x + q sin x
+        term_list = [(p, "cos x"), (q, "sin x")] if cf.kind == "sin" else [(q, "sin x"), (p, "cos x")]
+    pieces = [_times_basis(part, basis) for part, basis in term_list if not part.is_zero()]
     return _join_signed(pieces) + " + C"
 
 

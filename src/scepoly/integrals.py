@@ -6,11 +6,10 @@ The three closed forms are
     int x^n cos x dx  =  c_n(x) sin x + chat_{n-1}(x) cos x + const
     int x^n e^(mx) dx =  P(x) e^(mx) + const,   P' + m*P = x^n
 
-Verification is dual-route: ``check_antiderivative`` lifts a closed form F
-to one exponential-polynomial term with F = Re(lift) and differentiates it
-exactly, while ``quad_adaptive`` is an independent floating-point oracle
-(global adaptive Gauss-Kronrod 7-15 with QUADPACK's error estimate) that
-never touches the closed forms.
+and each is one term F = Re(part(x) e^(rate x)), a ``ClosedForm`` (rate, part) read with no case per kind.
+Verification is dual-route: ``check_antiderivative`` differentiates that term exactly, while ``quad_adaptive``
+is an independent floating-point oracle (global adaptive Gauss-Kronrod 7-15 with QUADPACK's error
+estimate) that never touches the closed forms.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import mpmath
 
 from .families import _last, antideriv_poly_exp, c_from_s, chat, rodrigues_sweep, s_explicit, shat
 from .poly import ExpPoly, Poly
-from .rational import I, ZERO, as_rate, as_rational
+from .rational import I, ZERO, GaussianRational, as_gaussian, as_rate, as_rational
 from .report import CheckReport
 
 __all__ = [
@@ -49,20 +48,24 @@ KINDS = ("sin", "cos", "exp")
 
 @dataclass(frozen=True)
 class ClosedForm:
-    """A structured antiderivative of x^n * basis.
-
-    For kind 'sin': cos_part = s_n, sin_part = shat_{n-1}.
-    For kind 'cos': sin_part = c_n, cos_part = chat_{n-1}.
-    For kind 'exp': exp_part = P with P' + m*P = x^n; m is the rate.
-    The integration constant, which differentiates away, is left out.
+    """The antiderivative F = Re(part(x) e^(rate x)) of x^n * basis, less the constant, which differentiates away:
+    rate i and part s_n - i shat_{n-1} (sin) or chat_{n-1} - i c_n (cos), or rate m and part P, P' + m*P = x^n (exp).
     """
 
     kind: str
     n: int
-    m: Fraction = Fraction(1)
-    cos_part: Optional[Poly] = None
-    sin_part: Optional[Poly] = None
-    exp_part: Optional[Poly] = None
+    rate: GaussianRational
+    part: Poly
+
+
+def _minus_i(p: Poly, q: Poly) -> Poly:
+    """p - i*q for real p and q, from their numerators with one normalisation."""
+    den, size = math.lcm(p.den, q.den), max(p.degree, q.degree) + 1
+    re, im = [0] * size, [0] * size
+    for out, x, f in ((re, p, den // p.den), (im, q, -den // q.den)):
+        for k, c in enumerate(x.re, x.lo):
+            out[k] = c * f
+    return Poly.from_numerators(re, im, den)
 
 
 def closed_form(kind: str, n: int, m=None) -> ClosedForm:
@@ -73,12 +76,12 @@ def closed_form(kind: str, n: int, m=None) -> ClosedForm:
         raise ValueError("n must be >= 0")
     if kind == "exp":
         m = as_rate(1 if m is None else m)
-        return ClosedForm(kind, n, m=m, exp_part=antideriv_poly_exp(n, m))
+        return ClosedForm(kind, n, as_gaussian(m), antideriv_poly_exp(n, m))
     if m is not None:
         raise ValueError("rate m applies only to kind 'exp'")
     if kind == "sin":
-        return ClosedForm(kind, n, cos_part=s_explicit(n), sin_part=shat(n - 1))
-    return ClosedForm(kind, n, sin_part=c_from_s(n), cos_part=chat(n - 1))
+        return ClosedForm(kind, n, I, _minus_i(s_explicit(n), shat(n - 1)))
+    return ClosedForm(kind, n, I, _minus_i(chat(n - 1), c_from_s(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -86,34 +89,26 @@ def closed_form(kind: str, n: int, m=None) -> ClosedForm:
 # ---------------------------------------------------------------------------
 
 
-def _lift_trig(cos_part: Poly, sin_part: Poly) -> ExpPoly:
-    """P cos x + Q sin x = Re((P - iQ) e^(ix)) for real P, Q: one term at the rate i."""
-    return ExpPoly.of(I, cos_part - sin_part * I)
-
-
 def lift_closed_form(cf: ClosedForm) -> ExpPoly:
     """The antiderivative F as an exact exponential polynomial with F = Re(lift)."""
-    if cf.kind == "exp":
-        return ExpPoly.of(cf.m, cf.exp_part)
-    return _lift_trig(cf.cos_part, cf.sin_part)
+    return ExpPoly.of(cf.rate, cf.part)
 
 
 def lift_integrand(kind: str, n: int, m=1) -> ExpPoly:
-    """x^n * {sin x | cos x | e^(mx)} as an exact exponential polynomial whose real part it is."""
-    xn = Poly.monomial(n)
+    """x^n * {sin x | cos x | e^(mx)} as the real part of one term: -i x^n e^(ix), x^n e^(ix) or x^n e^(mx)."""
     if kind == "exp":
-        return ExpPoly.of(as_rational(m), xn)
+        return ExpPoly.of(as_rational(m), Poly.monomial(n))
     if kind == "sin":
-        return _lift_trig(Poly.zero(), xn)
+        return ExpPoly.of(I, -Poly.monomial(n, I))
     if kind == "cos":
-        return _lift_trig(xn, Poly.zero())
+        return ExpPoly.of(I, Poly.monomial(n))
     raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
 
 
 def check_antiderivative(cf: ClosedForm) -> bool:
     """True iff d/dx(cf) equals x^n * basis exactly: both are Re(lift), d/dx Re(lift) = Re(d/dx lift)
     for real x, and for a non-real rate mu, Re(h e^(mu x)) = 0 only when the polynomial h is 0."""
-    return lift_closed_form(cf).derivative() == lift_integrand(cf.kind, cf.n, cf.m)
+    return lift_closed_form(cf).derivative() == lift_integrand(cf.kind, cf.n, cf.rate.re)
 
 
 def s_rodrigues_sweep(n_max: int) -> Iterator[Poly]:
@@ -178,32 +173,37 @@ def _mpq(q: Fraction):
     return mpmath.mpf(q.numerator) / q.denominator
 
 
-def _value_mp(cf: ClosedForm, x: float, values: list[Fraction]):
-    """F(x) from the exact values of its polynomial parts, and the size of its noise
-    (x is exact, but exp turns the absolute error of the rounded m*x into relative error)."""
-    if cf.kind == "exp":
-        exponent = _mpq(cf.m) * x
-        term = _mpq(values[0]) * mpmath.exp(exponent)
-        return term, abs(term) * (1 + abs(exponent))
-    c, s = _mpq(values[0]) * mpmath.cos(x), _mpq(values[1]) * mpmath.sin(x)
-    return c + s, abs(c) + abs(s)
+def _value_mp(rate: GaussianRational, x: float, c: GaussianRational):
+    """F(x) = Re(c e^(rate x)) = e^(ax) (Re c cos bx - Im c sin bx) at rate a + bi from the exact part value c,
+    and its noise (|Re c cos bx| + |Im c sin bx|) e^(ax) (1 + |ax|): x and bx are exact (b is 0 or 1), but exp
+    turns the absolute error of the rounded ax into relative error.  A zero a or b is skipped: cos 0 = e^0 = 1."""
+    value = _mpq(c.re)
+    size = abs(value)
+    if rate.im:
+        bx = _mpq(rate.im) * x
+        u, v = value * mpmath.cos(bx), _mpq(c.im) * mpmath.sin(bx)
+        value, size = u - v, abs(u) + abs(v)
+    if rate.re:
+        ax = _mpq(rate.re) * x
+        scale = mpmath.exp(ax)
+        value, size = value * scale, size * scale * (1 + abs(ax))
+    return value, size
 
 
-def _exact_value(cf: ClosedForm, points) -> Optional[Fraction]:
-    """The value if rational, else None.  F = Re(lift) is half the sum of each term c*e^(rate*x) and its conjugate;
-    by Lindemann-Weierstrass that sum is rational iff every c at a nonzero exponent is 0 once equal exponents merge."""
+def _exact_value(rate: GaussianRational, at) -> Optional[Fraction]:
+    """F at [(x, c)], or F(b) - F(a) at [(b, c_b), (a, c_a)], from exact part values c, if rational, else None.
+    F is half the sum of c e^(rate x) and its conjugate, rational iff no c is left at e != 0 (Lindemann-Weierstrass)."""
     merged = {0: ZERO}
-    for rate, part in lift_closed_form(cf).terms.items():
-        for sign, x in zip((1, -1), map(Fraction, points)):
-            c = sign * part.eval(x)
-            for e, v in ((rate * x, c), (rate.conjugate() * x, c.conjugate())):
-                merged[e] = merged.get(e, ZERO) + v
+    for sign, (x, c) in zip((1, -1), at):
+        x, c = Fraction(x), sign * c
+        for e, v in ((rate * x, c), (rate.conjugate() * x, c.conjugate())):
+            merged[e] = merged.get(e, ZERO) + v
     return None if any(c for e, c in merged.items() if e != 0) else merged[0].re / 2
 
 
 def _rounds_to_zero(cf: ClosedForm, b: float, a: float) -> bool:
-    """True if |F(b) - F(a)| <= |b - a| * max(|a|, |b|)^n * G <= 2^-1075, where G bounds the
-    basis on [a, b]: 1 for sin and cos, 3^ceil(max(0, m*a, m*b)) for e^(mx), as e < 3.
+    """True if |F(b) - F(a)| <= |b - a| * max(|a|, |b|)^n * G <= 2^-1075, where G = 3^ceil(max(0, g*a, g*b))
+    bounds |e^(rate x)| = e^(gx) on [a, b] for g = Re(rate), as e < 3 (G = 1 for sin and cos).
     A float's ``as_integer_ratio`` denominator is a power of 2, so with b - a = (B - A)/q and
     max(|a|, |b|) = p/r the test is |B - A| * p^n * G * 2^1075 <= q * r^n, in integers with no
     Fraction and no gcd; q * r^n is a shift."""
@@ -211,10 +211,10 @@ def _rounds_to_zero(cf: ClosedForm, b: float, a: float) -> bool:
     (p, r), q = max(abs(a), abs(b)).as_integer_ratio(), max(qa, qb)
     A, B = pa * (q // qa), pb * (q // qb)
     num, den = abs(B - A) * p**cf.n << 1075, 1 << (q.bit_length() - 1 + (r.bit_length() - 1) * cf.n)
-    if cf.kind != "exp" or not num or num > den:
+    if not num or num > den:
         return num <= den
-    mq = cf.m.denominator * q
-    k = max(0, -(-cf.m.numerator * A // mq), -(-cf.m.numerator * B // mq))  # ceil(m*x) at both points
+    g, gq = cf.rate.re, cf.rate.re.denominator * q
+    k = max(0, -(-g.numerator * A // gq), -(-g.numerator * B // gq))  # ceil(g*x) at both points
     if k >= den.bit_length():  # num * 3^k >= 3^k > 2^k > den; 3^k may be vast
         return False
     return num * 3**k <= den
@@ -234,13 +234,12 @@ def _closed_form_float(cf: ClosedForm, points, what: str) -> float:
     """
     if len(points) == 2 and _rounds_to_zero(cf, *points):
         return 0.0
-    parts = (cf.exp_part,) if cf.kind == "exp" else (cf.cos_part, cf.sin_part)
-    exact = [(x, [p.eval(Fraction(x)).re for p in parts]) for x in points]
+    at = [(x, cf.part.eval(Fraction(x))) for x in points]
     prec = _START_PREC
     while True:
         with mpmath.workprec(prec):
-            at = [_value_mp(cf, x, values) for x, values in exact]
-            total, noise = (at[0][0] - at[1][0], at[0][1] + at[1][1]) if len(at) == 2 else at[0]
+            values = [_value_mp(cf.rate, x, c) for x, c in at]
+            total, noise = (values[0][0] - values[1][0], values[0][1] + values[1][1]) if len(at) == 2 else values[0]
             err = mpmath.ldexp(noise, _SLACK_BITS - prec)
             lo, hi = float(total - err), float(total + err)
             if lo == hi and abs(hi) <= sys.float_info.min:  # float() rounds twice there; round to 2^-1074 once
@@ -248,7 +247,7 @@ def _closed_form_float(cf: ClosedForm, points, what: str) -> float:
         if lo == hi:
             break
         if prec == _START_PREC:
-            value = _exact_value(cf, points) if lo <= 0 <= hi or 0 in points else None
+            value = _exact_value(cf.rate, at) if lo <= 0 <= hi or 0 in points else None
             if value is not None:  # 2^1024 - 2^970 is the least value that rounds to 2^1024
                 hi = float(value) if abs(value) < 2**1024 - 2**970 else math.inf
                 break

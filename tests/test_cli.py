@@ -37,7 +37,7 @@ from scepoly.families import e_explicit, em_explicit, family_poly, s_explicit
 from scepoly.genfunc import FormalSeries, series_C, series_S
 from scepoly.integrals import ClosedForm, closed_form
 from scepoly.poly import Poly
-from scepoly.rational import GaussianRational
+from scepoly.rational import I, GaussianRational
 
 X = Poly.x()
 
@@ -284,15 +284,16 @@ class TestRenderersMatchReference:
     @example(kind="sin", first=Poly.zero(), second=Poly.zero(), m=Fraction(1))
     @example(kind="cos", first=Poly.constant(Fraction(-1, 2)), second=Poly.monomial(2, Fraction(1, 3)), m=Fraction(1))
     def test_closed_form(self, kind, first, second, m):
+        # F = Re(part e^(rate x)): P e^(mx), or P cos x + Q sin x from the part P - iQ at the rate i.
         if kind == "exp":
-            cf = ClosedForm("exp", 0, m, exp_part=first)
+            cf = ClosedForm("exp", 0, GaussianRational(m), first)
             exponent = "x" if m == 1 else f"({_ref_poly(Poly([0, m]))})"
             terms = [(first, f"e^{exponent}")]
         elif kind == "sin":
-            cf = ClosedForm("sin", 0, cos_part=first, sin_part=second)
+            cf = ClosedForm("sin", 0, I, first - second * I)
             terms = [(first, "cos x"), (second, "sin x")]
         else:
-            cf = ClosedForm("cos", 0, sin_part=first, cos_part=second)
+            cf = ClosedForm("cos", 0, I, second - first * I)
             terms = [(first, "sin x"), (second, "cos x")]
         expected = _ref_join([_ref_times(p, basis) for p, basis in terms if not p.is_zero()]) + " + C"
         assert render_closed_form_text(cf) == expected
@@ -940,6 +941,21 @@ def test_integrate_edges_are_pinned(capsys, request_, digest):
     code, out, err = run_cli(capsys, "integrate", *request_.split())
     printed = f"{code}\n{out}{err}"
     assert hashlib.sha256(printed.encode()).hexdigest()[:16] == digest, printed
+
+
+# One request per kind at n = 9, and an odd integrand whose integral is exactly 0: the value
+# of the one (rate, part) term prints the digits that the per-kind float formulas printed.
+INTEGRATE_VALUES = [
+    ("--kind sin --n 9 --a -3.25 --b 4.5", "-258832.94213651307"),
+    ("--kind cos --n 9 --a -3.25 --b 4.5", "-169495.86186998236"),
+    ("--kind exp --n 9 --m -5/3 --a -3.25 --b 4.5", "-1963158.3768968661"),
+    ("--kind cos --n 1 --a -2 --b 2", "0"),
+]
+
+
+@pytest.mark.parametrize("request_,value", INTEGRATE_VALUES)
+def test_integrate_values_are_pinned(capsys, request_, value):
+    assert run_cli(capsys, "integrate", *request_.split()) == (0, value + "\n", "")
 
 
 SEED_DIGESTS = Path(__file__).resolve().parents[1] / "bench" / "seed_digests.tsv"

@@ -1,6 +1,6 @@
 import math
 import random
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 from itertools import product
 
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from scepoly import integrals
 from scepoly.cli import main
-from scepoly.families import s_explicit, shat
+from scepoly.families import antideriv_poly_exp, c_from_s, chat, s_explicit, shat
 from scepoly.integrals import (
     KINDS,
     ClosedForm,
@@ -27,36 +27,45 @@ from scepoly.integrals import (
     s_rodrigues_sweep,
 )
 from scepoly.poly import ExpPoly, Poly
-from scepoly.rational import I, ZERO
+from scepoly.rational import I, ZERO, as_gaussian
 
 X = Poly.x()
 
 EXP_RATES = [Fraction(1), Fraction(2), Fraction(-1), Fraction(1, 2)]
 
 
+def _cos_sin(cf):
+    """(P, Q) with F = P cos x + Q sin x = Re((P - iQ) e^(ix))."""
+    return cf.part.real_over_i_power(0), cf.part.real_over_i_power(3)
+
+
 class TestClosedFormConstruction:
     def test_sin_base_case(self):
         cf = closed_form("sin", 0)
-        assert cf.cos_part == Poly.constant(-1)
-        assert cf.sin_part.is_zero()
+        assert (cf.rate, cf.part) == (I, Poly.constant(-1))
 
     def test_exp_of_degree_two(self):
         cf = closed_form("exp", 2, 1)
-        assert cf.exp_part == X**2 - 2 * X + 2
+        assert (cf.rate, cf.part) == (1, X**2 - 2 * X + 2)
 
     def test_sin_degree_two(self):
+        # -x^2 cos x + 2x sin x + 2 cos x
         cf = closed_form("sin", 2)
-        assert cf.cos_part == 2 - X**2
-        assert cf.sin_part == 2 * X
+        assert (cf.rate, cf.part) == (I, 2 - X**2 - 2 * X * I)
 
     def test_part_degrees(self):
         for n in range(1, 16):
-            cf = closed_form("sin", n)
-            assert cf.cos_part.degree == n
-            assert cf.sin_part.degree == n - 1
-            cf = closed_form("cos", n)
-            assert cf.sin_part.degree == n
-            assert cf.cos_part.degree == n - 1
+            p, q = _cos_sin(closed_form("sin", n))
+            assert (p.degree, q.degree) == (n, n - 1)
+            p, q = _cos_sin(closed_form("cos", n))
+            assert (q.degree, p.degree) == (n, n - 1)
+
+    def test_trig_parts_come_from_their_own_routes(self, monkeypatch):
+        # s_n - i shat_{n-1} and chat_{n-1} - i c_n, never read from e_n(ix).
+        monkeypatch.setattr(Poly, "scale_arg", lambda p, c: pytest.fail("scale_arg was called"))
+        for n in range(16):
+            assert closed_form("sin", n).part == s_explicit(n) - shat(n - 1) * I
+            assert closed_form("cos", n).part == chat(n - 1) - c_from_s(n) * I
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -82,7 +91,7 @@ class TestSymbolicVerification:
 
     def test_perturbed_form_fails(self):
         cf = closed_form("sin", 4)
-        broken = replace(cf, cos_part=cf.cos_part + 1 + X)
+        broken = replace(cf, part=cf.part + 1 + X)
         assert not check_antiderivative(broken)
 
     def test_lift_is_one_term_at_rate_i(self):
@@ -90,10 +99,10 @@ class TestSymbolicVerification:
         for kind in ("sin", "cos"):
             for n in range(8):
                 cf = closed_form(kind, n)
-                assert lift_closed_form(cf).terms == {I: cf.cos_part - cf.sin_part * I}
+                assert lift_closed_form(cf).terms == {I: cf.part}
         for m in EXP_RATES:
             cf = closed_form("exp", 5, m)
-            assert lift_closed_form(cf).terms == {m: cf.exp_part}
+            assert lift_closed_form(cf).terms == {m: cf.part} == {m: antideriv_poly_exp(5, m)}
 
     def test_every_sign_flip_or_swap_of_a_trig_form_fails(self):
         # A one-term lift must still see both parts and their signs.
@@ -101,12 +110,12 @@ class TestSymbolicVerification:
         for kind in ("sin", "cos"):
             for n in range(11):
                 cf = closed_form(kind, n)
-                p, q = cf.cos_part, cf.sin_part
+                p, q = _cos_sin(cf)
                 for (u, v), su, sv in product([(p, q), (q, p)], (1, -1), (1, -1)):
-                    cos_part, sin_part = su * u, sv * v
-                    if (cos_part, sin_part) == (p, q):
+                    part = su * u - sv * v * I
+                    if part == cf.part:
                         continue
-                    assert not check_antiderivative(replace(cf, cos_part=cos_part, sin_part=sin_part)), (kind, n)
+                    assert not check_antiderivative(replace(cf, part=part)), (kind, n)
                     rejected += 1
         # 7 mutants per form; at n = 0 one part is 0, so one sign flip of each form is the form itself.
         assert rejected == 2 * 11 * 7 - 2
@@ -203,7 +212,7 @@ class TestPrecisionFromMagnitudes:
     def test_closed_form_value_at_high_degree(self):
         # F(3) = F(0) + the integral over [0, 3]; F(0) is the constant term of chat_23.
         cf = closed_form("cos", 24)
-        reference = cf.cos_part.coeff(0).re + _reference_integral("cos", 24, None, 0.0, 3.0)
+        reference = cf.part.coeff(0).re + _reference_integral("cos", 24, None, 0.0, 3.0)
         assert abs(eval_closed_form(cf, 3.0) - reference) <= 1e-12 * abs(reference)
 
     def test_true_zero_stays_zero(self):
@@ -331,13 +340,14 @@ class TestCorrectRounding:
         assert points[:2] == [1e-160, 0.0]
 
 
-def _two_rate_exact_value(cf, points):
+def _two_rate_exact_value(kind, n, m, points):
     """``integrals._exact_value`` with sin and cos lifted to the conjugate pair
     (P/2 - iQ/2) e^(ix) + (P/2 + iQ/2) e^(-ix): the lift is the value itself."""
-    if cf.kind == "exp":
-        terms = ExpPoly.of(cf.m, cf.exp_part).terms
+    if kind == "exp":
+        terms = ExpPoly.of(m, antideriv_poly_exp(n, m)).terms
     else:
-        half_cos, half_i_sin = cf.cos_part * Fraction(1, 2), cf.sin_part * (I / 2)
+        p, q = (s_explicit(n), shat(n - 1)) if kind == "sin" else (chat(n - 1), c_from_s(n))
+        half_cos, half_i_sin = p * Fraction(1, 2), q * (I / 2)
         terms = ExpPoly([(I, half_cos - half_i_sin), (-I, half_cos + half_i_sin)]).terms
     merged = {0: ZERO}
     for rate, part in terms.items():
@@ -359,10 +369,62 @@ class TestExactValue:
             for n in range(9):
                 cf = closed_form(kind, n, m)
                 for points in point_lists:
-                    value = integrals._exact_value(cf, points)
-                    assert value == _two_rate_exact_value(cf, points), (kind, m, n, points)
+                    at = [(x, cf.part.eval(Fraction(x))) for x in points]
+                    value = integrals._exact_value(cf.rate, at)
+                    assert value == _two_rate_exact_value(kind, n, m, points), (kind, m, n, points)
                     outcomes.add("irrational" if value is None else "zero" if value == 0 else "nonzero")
         assert outcomes == {"irrational", "zero", "nonzero"}
+
+    @pytest.mark.parametrize("bounds", [("sin", "64", "-1e300", "1e300"), ("cos", "1", "-2", "2")])
+    def test_the_part_is_evaluated_once_per_point(self, bounds, monkeypatch, capsys):
+        # The float pass and the exact value share one part value per endpoint.
+        points = []
+        poly_eval = Poly.eval
+        monkeypatch.setattr(Poly, "eval", lambda p, z: points.append(z) or poly_eval(p, z))
+        kind, n, a, b = bounds
+        assert main(["integrate", "--kind", kind, "--n", n, "--a", a, "--b", b]) == 0
+        assert capsys.readouterr().out == "0\n"
+        assert points == [Fraction(float(b)), Fraction(float(a))]
+
+
+def _per_kind_value_mp(kind, m, x, values):
+    """``integrals._value_mp`` as it was with one formula per kind, from the values of
+    P (exp), or of P and Q in P cos x + Q sin x (sin and cos)."""
+    if kind == "exp":
+        exponent = integrals._mpq(m) * x
+        term = integrals._mpq(values[0]) * mpmath.exp(exponent)
+        return term, abs(term) * (1 + abs(exponent))
+    c, s = integrals._mpq(values[0]) * mpmath.cos(x), integrals._mpq(values[1]) * mpmath.sin(x)
+    return c + s, abs(c) + abs(s)
+
+
+class TestValueAndNoise:
+    """One Gaussian-rate formula gives the per-kind value and noise of the Ziv loop, bit for bit."""
+
+    def test_matches_the_per_kind_formulas(self):
+        cases = []
+        for kind in ("sin", "cos"):
+            for n in (0, 1, 4, 9):
+                cases.append((kind, None, _cos_sin(closed_form(kind, n))))
+            cases += [(kind, None, (p, q)) for p, q in ((Poly.zero(), Poly.zero()), (X**3 - 2, Poly.zero()),
+                                                        (Poly.zero(), 5 * X - Fraction(1, 3)))]
+        for m in (Fraction(1), Fraction(2), Fraction(-5, 3)):
+            cases += [("exp", m, (closed_form("exp", n, m).part,)) for n in (0, 1, 9)]
+            cases.append(("exp", m, (Poly.zero(),)))
+        xs = [0.0, -0.0, -3.25, 4.5, -1e300, 1e300, 2.0**-1074, -7e-5]
+        distinct = set()
+        for kind, m, parts in cases:
+            rate = I if m is None else as_gaussian(m)
+            part = parts[0] - parts[1] * I if m is None else parts[0]
+            for x in xs:
+                values = [p.eval(Fraction(x)).re for p in parts]
+                for prec in (53, 136, 272, 1088):
+                    with mpmath.workprec(prec):
+                        got = integrals._value_mp(rate, x, part.eval(Fraction(x)))
+                        want = _per_kind_value_mp(kind, m, x, values)
+                    assert got == want, (kind, m, parts, x, prec)
+                    distinct.add((kind, bool(want[0]), bool(want[1])))
+        assert {("exp", True, True), ("exp", False, False), ("sin", True, True), ("cos", False, False)} <= distinct
 
 
 def _reference_rounds_to_zero(kind, n, m, b, a):
@@ -493,6 +555,10 @@ class TestDirectConstruction:
             cf.n = 3
 
     def test_handmade_form_checks_out(self):
-        # S_1 = -x cos x + 1 sin x
-        cf = ClosedForm("sin", 1, cos_part=-X, sin_part=Poly.one())
+        # S_1 = -x cos x + 1 sin x = Re((-x - i) e^(ix))
+        cf = ClosedForm("sin", 1, I, -X - I)
         assert check_antiderivative(cf)
+
+    def test_closed_form_is_one_rate_and_one_part(self):
+        assert [(f.name, f.type) for f in fields(ClosedForm)] == [
+            ("kind", "str"), ("n", "int"), ("rate", "GaussianRational"), ("part", "Poly")]

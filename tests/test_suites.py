@@ -101,3 +101,20 @@ def test_genfunc_builds_each_series_product_once(monkeypatch):
     report = run_suite("genfunc", 24)
     assert report.all_passed, report.failures
     assert orders == [24, 24, 24, 20, 20]
+
+
+def test_odes_build_each_em_once_per_rate_and_index(monkeypatch):
+    # P = e_n^(m) / m^(n+1) reuses the e_n^(m) that the ODE checks build;
+    # antideriv_poly_exp is checked by theorem1 at the same rates.
+    built, em_explicit = [], families.em_explicit
+
+    def spy(n, m):
+        built.append((n, m))
+        return em_explicit(n, m)
+
+    monkeypatch.setattr(families, "em_explicit", spy)
+    monkeypatch.setattr(families, "antideriv_poly_exp", lambda n, m: pytest.fail("P was built a second time"))
+    report = run_suite("odes", 24)
+    assert report.all_passed, report.failures
+    assert sorted(built) == sorted({(n, m) for n in range(25) for m in suites._EM_RATES})
+    assert len(built) == 100
