@@ -25,7 +25,7 @@ import mpmath
 
 from .families import _last, antideriv_poly_exp, c_from_s, chat, rodrigues_sweep, s_explicit, shat
 from .poly import ExpPoly, Poly
-from .rational import I, ZERO, GaussianRational, as_gaussian, as_rate, as_rational
+from .rational import I, ZERO, GaussianRational, as_gaussian, as_rate
 from .report import CheckReport
 
 __all__ = [
@@ -95,9 +95,10 @@ def lift_closed_form(cf: ClosedForm) -> ExpPoly:
 
 
 def lift_integrand(kind: str, n: int, m=1) -> ExpPoly:
-    """x^n * {sin x | cos x | e^(mx)} as the real part of one term: -i x^n e^(ix), x^n e^(ix) or x^n e^(mx)."""
+    """x^n * {sin x | cos x | e^(mx)} as the real part of one term: -i x^n e^(ix), x^n e^(ix) or x^n e^(mx)
+    (m any Gaussian rational)."""
     if kind == "exp":
-        return ExpPoly.of(as_rational(m), Poly.monomial(n))
+        return ExpPoly.of(m, Poly.monomial(n))
     if kind == "sin":
         return ExpPoly.of(I, -Poly.monomial(n, I))
     if kind == "cos":
@@ -108,7 +109,7 @@ def lift_integrand(kind: str, n: int, m=1) -> ExpPoly:
 def check_antiderivative(cf: ClosedForm) -> bool:
     """True iff d/dx(cf) equals x^n * basis exactly: both are Re(lift), d/dx Re(lift) = Re(d/dx lift)
     for real x, and for a non-real rate mu, Re(h e^(mu x)) = 0 only when the polynomial h is 0."""
-    return lift_closed_form(cf).derivative() == lift_integrand(cf.kind, cf.n, cf.rate.re)
+    return lift_closed_form(cf).derivative() == lift_integrand(cf.kind, cf.n, cf.rate)
 
 
 def s_rodrigues_sweep(n_max: int) -> Iterator[Poly]:
@@ -379,8 +380,8 @@ def quad_adaptive(
     if math.isinf(a + b) or math.isinf(b - a):
         raise ValueError(f"quadrature failed: the midpoint or width of [{a}, {b}] overflows double precision")
 
-    f = integrand_function(kind, n, m)
     try:
+        f = integrand_function(kind, n, m)
         value, error, floor = _gauss_kronrod(f, a, b)
         # Entries (-error, lo, hi, value, floor): heapq pops the largest error
         # first.

@@ -207,7 +207,9 @@ class Poly(_Numerators):
                 return NotImplemented
         return (self.lo, self.re, self.im, self.den) == (other.lo, other.re, other.im, other.den)
 
-    __hash__ = _Numerators.__hash__  # defining __eq__ would otherwise clear it
+    def __hash__(self):
+        """A constant equals its scalar, so it hashes as that scalar."""
+        return hash(self.coeff(0)) if self.degree <= 0 else _Numerators.__hash__(self)
 
     def __repr__(self) -> str:
         if self.is_zero():

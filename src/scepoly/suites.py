@@ -46,20 +46,7 @@ def _suite_routes(max_n: int) -> CheckReport:
 
 
 def _suite_recurrences(max_n: int) -> CheckReport:
-    report = CheckReport.of([])
-    for group in ("G1", "G2", "G3", "G4", "DIFF_EQS"):
-        report = report.merged_with(families.check_relation_group(group, max_n))
-    extra = []
-    for n in range(max_n + 1):
-        extra.append((f"shat_{n} = chat_{n}", families.shat(n) == families.chat(n)))
-        extra.append((f"c_{n} = -s_{n}", families.c_from_s(n) == -families.s_explicit(n)))
-        extra.append(
-            (
-                f"e_{n}' = {n}*e_{n-1}",
-                families.e_explicit(n).derivative() == n * families.e_explicit(n - 1),
-            )
-        )
-    return report.merged_with(CheckReport.of(extra))
+    return families.check_relation_group(max_n)
 
 
 def _suite_odes(max_n: int) -> CheckReport:

@@ -113,9 +113,10 @@ def test_criterion_06_degenerate_generating_formula():
 
 
 def test_criterion_07_recurrence_groups():
-    for group in ("G1", "G2", "G3", "G4"):
-        report = families.check_relation_group(group, 30)
-        assert report.all_passed, report.failures
+    report = families.check_relation_group(30)
+    groups = [e for e in report.entries if e.label.split(": ")[0] in ("G1", "G2", "G3", "G4")]
+    assert len(groups) == 4 * 2 * 31
+    assert all(e.passed for e in groups), groups
     for n in range(31):
         assert families.shat(n) == families.chat(n)
         assert families.c_from_s(n) == -families.s_explicit(n)

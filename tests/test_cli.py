@@ -447,6 +447,13 @@ class TestQuadratureOverflow:
         assert (code, out) == (2, "")
         assert err.startswith("error: quadrature failed")
 
+    def test_rate_too_large_for_a_double(self, capsys):
+        code, out, err = run_cli(
+            capsys, "integrate", "--kind", "exp", "--n", "1", "--m", "1e400", "--a", "-1", "--b", "-0.5", "--check"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: quadrature failed: the integrand overflows double precision on [-1.0, -0.5]\n"
+
 
 class TestIntegrateCommand:
     def test_definite_value(self, capsys):

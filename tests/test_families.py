@@ -404,8 +404,9 @@ class TestHattedFamilies:
 class TestRelationGroups:
     @pytest.mark.parametrize("group", ["G1", "G2", "G3", "G4", "DIFF_EQS"])
     def test_group_passes_exactly(self, group):
-        report = check_relation_group(group, 30)
-        assert report.all_passed, report.failures
+        entries = [e for e in check_relation_group(30).entries if e.label.startswith(f"{group}: ")]
+        assert len(entries) == (5 if group == "DIFF_EQS" else 2) * 31
+        assert all(e.passed for e in entries), entries
 
     def test_g2_spot_check(self):
         # s_2 = -x^2 - 2*1*s_0
@@ -414,13 +415,12 @@ class TestRelationGroups:
     def test_g1_base_case(self):
         assert s_explicit(0) == Poly.constant(-1)
 
-    def test_unknown_group(self):
-        with pytest.raises(ValueError):
-            check_relation_group("G9", 5)
-
     def test_report_shape(self):
-        report = check_relation_group("G1", 3)
-        assert len(report) == 8
+        # 13 group entries and 3 cross-family identities per index.
+        report = check_relation_group(3)
+        assert len(report) == 64
+        assert report.entries[0].label == "G1: s_0 = -x^0 + 0*chat_-2"
+        assert report.entries[-1].label == "e_3' = 3*e_2"
         assert report.all_passed
         assert not report.failures
 

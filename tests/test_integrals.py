@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from scepoly import integrals
 from scepoly.cli import main
-from scepoly.families import antideriv_poly_exp, c_from_s, chat, s_explicit, shat
+from scepoly.families import antideriv_poly_exp, c_from_s, chat, e_explicit, s_explicit, shat
 from scepoly.integrals import (
     KINDS,
     ClosedForm,
@@ -27,7 +27,7 @@ from scepoly.integrals import (
     s_rodrigues_sweep,
 )
 from scepoly.poly import ExpPoly, Poly
-from scepoly.rational import I, ZERO, as_gaussian
+from scepoly.rational import I, ZERO, GaussianRational, as_gaussian
 
 X = Poly.x()
 
@@ -93,6 +93,15 @@ class TestSymbolicVerification:
         cf = closed_form("sin", 4)
         broken = replace(cf, part=cf.part + 1 + X)
         assert not check_antiderivative(broken)
+
+    def test_gaussian_rate_checks_against_that_rate(self):
+        # The part of Re(x^n e^(mu x)) at mu = 1 + i is e_n(mu x)/mu^(n+1); checking
+        # against Re(mu) would reject it.
+        mu = GaussianRational(1, 1)
+        for n in range(5):
+            part = e_explicit(n).scale_arg(mu) / mu ** (n + 1)
+            assert check_antiderivative(ClosedForm("exp", n, mu, part)), n
+            assert not check_antiderivative(ClosedForm("exp", n, mu, part + X**n)), n
 
     def test_lift_is_one_term_at_rate_i(self):
         # F = Re(lift): P cos x + Q sin x = Re((P - iQ) e^(ix)).
@@ -494,6 +503,10 @@ class TestQuadrature:
             quad_adaptive("sin", 1, 1, 0.0, 1.0, tol=0.0)
         with pytest.raises(ValueError):
             integrand_function("sinh", 1)
+
+    def test_rate_too_large_for_a_double(self):
+        with pytest.raises(ValueError, match="quadrature failed"):
+            quad_adaptive("exp", 1, Fraction(10**400), -1.0, -0.5)
 
     def test_panel_cap_is_explicit(self, monkeypatch):
         monkeypatch.setattr(integrals, "_MAX_PANELS", 1)

@@ -365,6 +365,12 @@ class TestPolyAgainstModel:
             assert (zero.lo, zero.re, zero.im, zero.den, zero.degree, zero.coeffs) == (0, (), (), 1, -1, ())
             assert zero.is_zero()
 
+    @pytest.mark.parametrize("c", [0, 3, -7, Fraction(1, 2), GaussianRational(1, 2)], ids=repr)
+    def test_constant_hashes_as_its_scalar(self, c):
+        p = Poly.constant(c)
+        assert p == c and hash(p) == hash(c)
+        assert c in {p} and p in {c}
+
     @given(a=any_polys)
     def test_copy_and_pickle(self, a):
         p = Poly(a)

@@ -86,6 +86,23 @@ def test_routes_build_e_of_ix_once_per_index(monkeypatch):
     assert (len(scaled), len(explicit)) == (25, 150)
 
 
+def test_recurrences_build_each_family_value_once_per_index(monkeypatch):
+    # One table of s, c, shat, chat and e at the indices -2..24, read by every
+    # relation group and the three cross-family identities.
+    calls = {name: 0 for name in ("shat", "chat", "e_explicit")}
+    for name in calls:
+        member = getattr(families, name)
+
+        def spy(n, name=name, member=member):
+            calls[name] += 1
+            return member(n)
+
+        monkeypatch.setattr(families, name, spy)
+    report = run_suite("recurrences", 24)
+    assert report.all_passed, report.failures
+    assert calls == {"shat": 27, "chat": 27, "e_explicit": 27}
+
+
 def test_genfunc_builds_each_series_product_once(monkeypatch):
     # E, C and E_2 at max-n, and E and C again in the connection check at
     # order 20; S is the suite's own -C.
