@@ -20,7 +20,7 @@ from math import gcd
 
 from . import families, genfunc, integrals
 from .poly import Poly
-from .rational import GaussianRational
+from .rational import GaussianRational, as_rate
 from .suites import VERIFY_SUITES, run_suite
 
 __all__ = [
@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 RELATIVE_CHECK_TOL = 1e-9
+FORMATS = ("text", "latex", "json", "csv")
 
 
 # ---------------------------------------------------------------------------
@@ -136,9 +137,7 @@ def series_to_json(
 
 def poly_from_json(text: str) -> Poly:
     doc = json.loads(text)
-    return Poly(
-        GaussianRational(Fraction(c["re"]), Fraction(c["im"])) for c in doc["coeffs"]
-    )
+    return Poly(GaussianRational(c["re"], c["im"]) for c in doc["coeffs"])
 
 
 _CSV_HEADER = "degree,re_num,re_den,im_num,im_den"
@@ -236,22 +235,12 @@ def _check_index(value: int, name: str) -> int:
     return value
 
 
-def _parse_rate(text: str) -> Fraction:
-    try:
-        m = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ValueError(f"malformed rational {text!r} (use integer or p/q)")
-    if m == 0:
-        raise ValueError("rate m must be nonzero")
-    return m
-
-
 def _family_rate(args) -> Fraction | None:
     """The rate --m: required for family 'em', refused for every other family."""
     if args.family == "em":
         if args.m is None:
             raise ValueError("family 'em' requires --m")
-        return _parse_rate(args.m)
+        return as_rate(args.m)
     if args.m is not None:
         raise ValueError("--m applies only to family 'em'")
     return None
@@ -271,10 +260,7 @@ def cmd_poly(args) -> int:
 
 def cmd_integrate(args) -> int:
     n = _check_index(args.n, "n")
-    if args.m is not None and args.kind != "exp":
-        raise ValueError("--m applies only to kind 'exp'")
-    m = _parse_rate(args.m) if args.m is not None else None
-    cf = integrals.closed_form(args.kind, n, m)
+    cf = integrals.closed_form(args.kind, n, args.m)  # parses --m after its kind rule
     if args.a is None and args.b is None:
         _print_exact(render_closed_form_text, cf)
         return 0
@@ -289,7 +275,7 @@ def cmd_integrate(args) -> int:
         return 0
     lo, hi = sorted((args.a, args.b))
     tol = 1e-12 * max(1.0, abs(value))
-    quad = integrals.quad_adaptive(args.kind, n, m if m is not None else 1, lo, hi, tol)
+    quad = integrals.quad_adaptive(args.kind, n, cf.rate.re, lo, hi, tol)
     oracle = quad.value if args.a <= args.b else -quad.value
     discrepancy = abs(value - oracle)
     relative = discrepancy / max(1.0, abs(oracle))
@@ -340,13 +326,11 @@ def build_parser() -> argparse.ArgumentParser:
     poly.add_argument("family", choices=["e", "s", "c", "shat", "chat", "em"])
     poly.add_argument("--n", type=int, required=True, help="index n >= 0")
     poly.add_argument("--m", help="rate for family 'em' (integer or p/q)")
-    poly.add_argument(
-        "--format", choices=["text", "latex", "json", "csv"], default="text"
-    )
+    poly.add_argument("--format", choices=FORMATS, default="text")
     poly.set_defaults(func=cmd_poly)
 
     integ = sub.add_parser("integrate", help="closed-form or definite integral")
-    integ.add_argument("--kind", choices=["sin", "cos", "exp"], required=True)
+    integ.add_argument("--kind", choices=integrals.KINDS, required=True)
     integ.add_argument("--n", type=int, required=True)
     integ.add_argument("--m", help="rate for kind 'exp' (default 1)")
     integ.add_argument("--a", type=float, help="lower bound")
@@ -369,9 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     gf.add_argument("--family", choices=["e", "s", "c", "em"], required=True)
     gf.add_argument("--order", type=int, required=True)
     gf.add_argument("--m", help="rate for family 'em' (integer or p/q)")
-    gf.add_argument(
-        "--format", choices=["text", "latex", "json", "csv"], default="text"
-    )
+    gf.add_argument("--format", choices=FORMATS, default="text")
     gf.set_defaults(func=cmd_genfunc)
 
     return parser

@@ -43,7 +43,6 @@ __all__ = [
     "e_explicit",
     "e_recurrence",
     "e_recurrence_sweep",
-    "rodrigues_part",
     "rodrigues_sweep",
     "e_rodrigues",
     "e_laguerre",
@@ -101,7 +100,7 @@ def e_recurrence(n: int) -> Poly:
 
 
 def rodrigues_sweep(rate, n_max: int) -> Iterator[Poly]:
-    """``rodrigues_part(rate, n)`` for n = 0..n_max, each by one exact derivative of the one before.
+    """x^(n+1) e^(-rate x) d^n/dx^n (x^(-1) e^(rate x)) for n = 0..n_max, each one exact derivative of the one before.
 
     Each derivative maps p(x) e^(rate x) to (p' + rate*p) e^(rate x), the
     ``_derivative`` kernel on the part p; the rate goes to integer parts
@@ -120,15 +119,9 @@ def rodrigues_sweep(rate, n_max: int) -> Iterator[Poly]:
         yield _raw(Poly, part.lo + n + 1, part.re, part.im, part.den)
 
 
-def rodrigues_part(rate, n: int) -> Poly:
-    """x^(n+1) e^(-rate x) d^n/dx^n (x^(-1) e^(rate x)), by n exact derivatives:
-    the last element of ``rodrigues_sweep(rate, n)``; zero for n < 0."""
-    return _last(rodrigues_sweep(rate, n), Poly.zero())
-
-
 def e_rodrigues(n: int) -> Poly:
-    """e_n = x^(n+1) e^(-x) d^n/dx^n (x^(-1) e^x), computed exactly."""
-    return rodrigues_part(1, n)
+    """e_n = x^(n+1) e^(-x) d^n/dx^n (x^(-1) e^x), the last element of ``rodrigues_sweep(1, n)``."""
+    return _last(rodrigues_sweep(1, n), Poly.zero())
 
 
 def laguerre_general(n: int, alpha) -> Poly:
@@ -168,8 +161,8 @@ def em_explicit(n: int, m) -> Poly:
 
 
 def em_rodrigues(n: int, m) -> Poly:
-    """e_n^(m) = x^(n+1) e^(-mx) d^n/dx^n (x^(-1) e^(mx))."""
-    return rodrigues_part(as_rate(m), n)
+    """e_n^(m) = x^(n+1) e^(-mx) d^n/dx^n (x^(-1) e^(mx)), the last element of ``rodrigues_sweep(m, n)``."""
+    return _last(rodrigues_sweep(as_rate(m), n), Poly.zero())
 
 
 def antideriv_poly_exp(n: int, m) -> Poly:
@@ -237,7 +230,9 @@ def chat(k: int) -> Poly:
 
 
 def family_poly(family: str, n: int, m=None) -> Poly:
-    """Dispatch a family tag from {e, s, c, shat, chat, em} to its polynomial."""
+    """Dispatch a family tag from {e, s, c, shat, chat, em} to its polynomial; only 'em' takes, and needs, a rate m."""
+    if family != "em" and m is not None:
+        raise ValueError("rate m applies only to family 'em'")
     if family == "e":
         return e_explicit(n)
     if family == "s":

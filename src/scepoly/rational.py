@@ -19,6 +19,8 @@ everything here is safe to share across threads.
 
 from __future__ import annotations
 
+import re
+import sys
 from fractions import Fraction
 
 __all__ = [
@@ -32,13 +34,33 @@ __all__ = [
 ]
 
 
+# The exponent of a decimal literal: Fraction builds 10**exponent without the int-string digit limit.
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*$", re.I)
+
+
 def as_rational(value) -> Fraction:
-    """Coerce an int, Fraction or 'p/q' string to an exact Fraction."""
+    """Coerce an int, Fraction or string to an exact Fraction.
+
+    A string is read by ``Fraction``: an integer, p/q, a decimal ("0.1" is
+    1/10) or exponent notation ("1e400").  Its digits are held to
+    ``sys.get_int_max_str_digits()`` (0: no bound) as ``int()`` holds them,
+    and so is its exponent, which is refused before 10**exponent is built."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str)):
+    if isinstance(value, int):
         return Fraction(value)
-    raise TypeError(f"cannot interpret {value!r} as an exact rational")
+    if not isinstance(value, str):
+        raise TypeError(f"cannot interpret {value!r} as an exact rational")
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0 before Python 3.10.7: no limit
+    exp = _EXPONENT.search(value)
+    over = limit and exp and (len(exp[1]) > limit or abs(int(exp[1])) >= limit)
+    if not over:
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            over = limit and str(exc).startswith("Exceeds the limit")
+    reason = f"over the int-string limit of {limit} digits" if over else "use integer or p/q"
+    raise ValueError(f"malformed rational {value!r} ({reason})")
 
 
 def as_rate(value) -> Fraction:

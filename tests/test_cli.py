@@ -337,6 +337,18 @@ class TestLongExactOutput:
         assert code == 2
         assert "malformed rational" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("poly", "em", "--n", "1", "--m", rate) for rate in ("1e5000", "-1e5000", "1e-5000", "1e100000000")]
+        + [("integrate", "--kind", "exp", "--n", "1", "--m", "1e-100000000", "--a", "0", "--b", "1")],
+    )
+    def test_exponent_rate_is_parsed_under_the_limit(self, capsys, argv):
+        # Refused by its exponent: 10**exponent is never built.
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: malformed rational")
+        assert f"limit of {sys.get_int_max_str_digits()} digits" in err
+
 
 class TestExitCodes:
     def test_unknown_family_is_usage_error(self, capsys):
@@ -359,6 +371,12 @@ class TestExitCodes:
     def test_m_rejected_for_sin(self, capsys):
         code, _, _ = run_cli(capsys, "integrate", "--kind", "sin", "--n", "1", "--m", "2")
         assert code == 2
+
+    @pytest.mark.parametrize("argv", [("poly", "em", "--n", "1", "--m", "1/0"), ("integrate", "--kind", "exp", "--n", "1", "--m", "2/0")])
+    def test_zero_denominator_is_malformed(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert err == f"error: malformed rational {argv[-1]!r} (use integer or p/q)\n"
 
     def test_negative_index(self, capsys):
         code, _, _ = run_cli(capsys, "poly", "e", "--n", "-3")

@@ -21,7 +21,6 @@ from scepoly.families import (
     em_rodrigues,
     family_poly,
     laguerre_general,
-    rodrigues_part,
     rodrigues_sweep,
     s_explicit,
     s_from_e,
@@ -150,16 +149,16 @@ class TestLaguerre:
 
 
 class TestRodriguesPart:
-    """x^(n+1) e^(-rx) d^n/dx^n (x^(-1) e^(rx)), the shared Rodrigues derivative."""
+    """x^(n+1) e^(-rx) d^n/dx^n (x^(-1) e^(rx)), element n of the shared Rodrigues sweep."""
 
     def test_n3_values(self):
-        # recorded from the three separate Rodrigues routes this helper replaced
-        assert rodrigues_part(1, 3) == Poly([-6, 6, -3, 1])
-        assert rodrigues_part(Fraction(-1, 2), 3) == Poly(
+        # recorded from the three separate Rodrigues routes the sweep replaced
+        assert list(rodrigues_sweep(1, 3))[3] == Poly([-6, 6, -3, 1])
+        assert list(rodrigues_sweep(Fraction(-1, 2), 3))[3] == Poly(
             [-6, -3, Fraction(-3, 4), Fraction(-1, 8)]
         )
-        assert rodrigues_part(I, 3) == Poly([-6, 6 * I, 3, -I])
-        assert rodrigues_part(-I, 3) == Poly([-6, -6 * I, 3, I])
+        assert list(rodrigues_sweep(I, 3))[3] == Poly([-6, 6 * I, 3, -I])
+        assert list(rodrigues_sweep(-I, 3))[3] == Poly([-6, -6 * I, 3, I])
 
     @pytest.mark.parametrize("rate", [1, Fraction(-1, 2), I, -I])
     def test_matches_rate_m_sum(self, rate):
@@ -169,15 +168,15 @@ class TestRodriguesPart:
                 (-1) ** (l + n) * rate**l * Fraction(factorial(n), factorial(l))
                 for l in range(n + 1)
             )
-            assert rodrigues_part(rate, n) == expected
+            assert list(rodrigues_sweep(rate, n))[n] == expected
 
 
 class TestSweeps:
-    """Each sweep's iterate at n is the per-n function's value."""
+    """Each sweep's iterate at n is the per-n value: the last element of the sweep to n."""
 
     @pytest.mark.parametrize("rate", [1, 2, -1, Fraction(1, 2), Fraction(-5, 3), I, -I])
     def test_rodrigues_sweep_matches_per_n(self, rate):
-        assert list(rodrigues_sweep(rate, 40)) == [rodrigues_part(rate, n) for n in range(41)]
+        assert list(rodrigues_sweep(rate, 40)) == [list(rodrigues_sweep(rate, n))[n] for n in range(41)]
 
     @pytest.mark.parametrize("rate", [1, 2, Fraction(-5, 3), I])
     def test_rodrigues_sweep_normalises_once_per_derivative(self, rate, monkeypatch):
@@ -213,7 +212,7 @@ class TestSweeps:
             assert list(e_recurrence_sweep(n)) == []
             assert list(rodrigues_sweep(I, n)) == []
             assert e_recurrence(n) == Poly.zero()
-            assert rodrigues_part(2, n) == Poly.zero()
+            assert em_rodrigues(n, 2) == Poly.zero()
 
 
 class TestEmFamily:
@@ -242,6 +241,11 @@ class TestEmFamily:
             em_rodrigues(3, Fraction(0))
         with pytest.raises(ValueError, match="rate must be nonzero"):
             antideriv_poly_exp(3, 0)
+
+    def test_malformed_rate_rejected(self):
+        for build in (em_explicit, em_rodrigues, antideriv_poly_exp):
+            with pytest.raises(ValueError, match="malformed rational '1/0'"):
+                build(3, "1/0")
 
     def test_scaled_first_order_identity(self):
         # (e_n^(m))' + m e_n^(m) = m^(n+1) x^n; collapses to x^n only at m=1
@@ -442,6 +446,11 @@ class TestFamilyDispatch:
         with pytest.raises(ValueError):
             family_poly("q", 2)
 
+    @pytest.mark.parametrize("family", ["e", "s", "c", "shat", "chat"])
+    def test_rate_refused_for_other_families(self, family):
+        with pytest.raises(ValueError, match="rate m applies only to family 'em'"):
+            family_poly(family, 3, m=2)
+
 
 # ---------------------------------------------------------------------------
 # Route independence: each route is built while the constructors it must not
@@ -553,7 +562,10 @@ PER_N_CONSTRUCTORS = {
     "chat": chat,
     **{f"{f.__name__}(m={m})": (lambda n, f=f, m=m: f(n, m))
        for f in (em_explicit, em_rodrigues, antideriv_poly_exp) for m in (1, 2, Fraction(-5, 3))},
-    **{f"rodrigues_part(rate={k})": (lambda n, r=r: rodrigues_part(r, n)) for k, r in CONTRACT_RATES.items()},
+    # The Rodrigues part at each rate: element n of the public sweep, which is empty below n = 0
+    # (test_sweeps_yield_poly); em_rodrigues(m=…) above covers the per-n route's n < 0.
+    **{f"rodrigues_part(rate={k})": (lambda n, r=r: list(rodrigues_sweep(r, n))[n] if n >= 0 else Poly.zero())
+       for k, r in CONTRACT_RATES.items()},
 }
 
 

@@ -168,6 +168,10 @@ class TestGeneratingFunctions:
         with pytest.raises(ValueError, match="nonzero"):
             series_Em(0, 5)
 
+    def test_em_spec_rejects_zero_denominator(self):
+        with pytest.raises(ValueError, match="malformed rational"):
+            em_spec("1/0")
+
     def test_series_satisfy_their_pdes(self):
         order = 30
         rhs = series_exp_xt(1, order)

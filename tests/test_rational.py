@@ -1,6 +1,8 @@
 import copy
 import operator
 import pickle
+import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -12,6 +14,8 @@ from scepoly.rational import (
     I,
     ONE,
     as_gaussian,
+    as_rate,
+    as_rational,
 )
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=16)
@@ -52,6 +56,59 @@ class TestRational:
         assert (a * b) * c == a * (b * c)
         assert a * (b + c) == a * b + a * c
         assert a + b == b + a
+
+
+class TestAsRational:
+    """The one parser from text to Fraction: ``Fraction`` reads it, under the int-string digit bound."""
+
+    @pytest.mark.parametrize(
+        "text,value",
+        [("2", Fraction(2)), ("-5/3", Fraction(-5, 3)), ("0.5", Fraction(1, 2)), ("1e400", Fraction(10**400)),
+         ("0.1", Fraction(1, 10)), ("-2.5e-3", Fraction(-1, 400)), (" +7/2 ", Fraction(7, 2)), (".5", Fraction(1, 2))],
+    )
+    def test_spellings(self, text, value):
+        assert as_rational(text) == value == Fraction(text)
+
+    @given(st.text(alphabet="0123456789_./eE+- ", max_size=6))  # exponents of at most 4 digits, which Fraction builds fast
+    def test_agrees_with_fraction(self, text):
+        try:
+            expected = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            expected = None
+        try:
+            assert as_rational(text) == expected
+        except ValueError as exc:
+            # Refused: not a Fraction, or past the bound by its exponent.
+            assert expected is None or "int-string limit" in str(exc)
+
+    @pytest.mark.parametrize("text", ["1/0", "0/0", "abc", "", "1/2.0", "1e", "1__0", "inf"])
+    def test_malformed(self, text):
+        with pytest.raises(ValueError, match=re.escape(f"malformed rational {text!r} (use integer or p/q)")):
+            as_rational(text)
+
+    def test_zero_denominator_is_not_a_zero_division(self):
+        with pytest.raises(ValueError, match="malformed rational"):
+            as_rate("1/0")
+
+    def test_digit_bound(self):
+        limit = sys.get_int_max_str_digits()
+        within = ["9" * limit, f"1e{limit - 1}", f"1e-{limit - 1}", f"1/{'7' * limit}", f"{'1' * (limit - 1)}.5"]
+        for text in within:
+            assert as_rational(text) == Fraction(text)
+        beyond = ["9" * (limit + 1), f"1e{limit}", f"1e-{limit}", f"1/{'7' * (limit + 1)}",
+                  "1e100000000", f"1e{'0' * limit}1"]
+        for text in beyond:
+            with pytest.raises(ValueError, match=re.escape(f"(over the int-string limit of {limit} digits)")):
+                as_rational(text)
+
+    def test_no_bound_when_the_limit_is_off(self):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert as_rational("1e5000") == 10**5000
+            assert as_rational("-1e-5000") == Fraction(-1, 10**5000)
+        finally:
+            sys.set_int_max_str_digits(limit)
 
 
 class TestGaussianRational:
