@@ -289,9 +289,9 @@ def cmd_integrate(args) -> int:
 def cmd_verify(args) -> int:
     max_n = _check_index(args.max_n, "max-n")
     report = run_suite(args.suite, max_n)
-    for entry in report.entries:
-        print(f"{'PASS' if entry.passed else 'FAIL'}  {entry.label}")
-    print(f"{len(report)} identities checked, {len(report.failures)} failed")
+    lines = [f"{'PASS' if entry.passed else 'FAIL'}  {entry.label}" for entry in report.entries]
+    lines.append(f"{len(report)} identities checked, {len(report.failures)} failed")
+    print("\n".join(lines))
     return 0 if report.all_passed else 1
 
 

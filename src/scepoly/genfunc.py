@@ -235,11 +235,22 @@ class LinearHGSpec:
         return -n * self.gamma
 
     def residual(self, y: Poly, n: int) -> Poly:
-        """A*y'' + B_n*y' + lambda_n*y, which is zero iff y solves the degree-n equation."""
-        dy = y.derivative()
-        a = Poly([self.beta, self.alpha])
-        b = Poly([self.delta(n), self.gamma])
-        return a * dy.derivative() + b * dy + self.lambda_n(n) * y
+        """A*y'' + B_n*y' + lambda_n*y, which is zero iff y solves the degree-n equation.
+
+        One pass over y's numerators c_j (of x^j), real and imaginary alike: with alpha, beta,
+        gamma, delta_n and lambda_n as a, b, g, d, lam over one denominator D, the numerator of
+        x^j is (g*j + lam)*c_j + (j+1)*(a*j + d)*c_(j+1) + b*(j+2)*(j+1)*c_(j+2), over y.den*D.
+        """
+        values = (self.alpha, self.beta, self.gamma, self.delta(n), self.lambda_n(n))
+        D = lcm(*(v.denominator for v in values))
+        a, b, g, d, lam = (v.numerator * (D // v.denominator) for v in values)
+
+        def numerators(c):
+            c = (0,) * y.lo + c + (0, 0)
+            return [(g * j + lam) * c0 + (j + 1) * ((a * j + d) * c1 + b * (j + 2) * c2)
+                    for j, (c0, c1, c2) in enumerate(zip(c, c[1:], c[2:]))]
+
+        return Poly.from_numerators(numerators(y.re), numerators(y.im) if y.im else (), y.den * D)
 
 
 def em_spec(m) -> LinearHGSpec:

@@ -242,18 +242,25 @@ def _normalise(lo: int, re, im, den: int) -> tuple:
     """
     if im and not any(im):
         im = ()
-    nonzero = (lambda k: re[k] or im[k]) if im else re.__getitem__
     start, hi = 0, len(re)
-    while hi and not nonzero(hi - 1):
-        hi -= 1
-    while start < hi and not nonzero(start):
-        start += 1
+    if im:
+        while hi and not (re[hi - 1] or im[hi - 1]):
+            hi -= 1
+        while start < hi and not (re[start] or im[start]):
+            start += 1
+    else:
+        while hi and not re[hi - 1]:
+            hi -= 1
+        while start < hi and not re[start]:
+            start += 1
     if start == hi:
         return 0, (), (), 1
-    re, im = re[start:hi], im[start:hi]
-    g = gcd(den, re[-1], *re, *im)  # the leading numerator first: often coprime to den, it ends the search
-    if g != 1:
-        re, im, den = [c // g for c in re], [c // g for c in im], den // g
+    if start or hi < len(re):
+        re, im = re[start:hi], im[start:hi]
+    if den != 1:
+        g = gcd(den, re[-1], *re, *im)  # the leading numerator first: often coprime to den, it ends the search
+        if g != 1:
+            re, im, den = [c // g for c in re], [c // g for c in im], den // g
     return lo + start, tuple(re), tuple(im), den
 
 

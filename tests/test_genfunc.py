@@ -297,6 +297,31 @@ class TestResidual:
                 assert (residual.degree, residual.coeff(n + 1)) == (n + 1, spec.gamma)
 
 
+@st.composite
+def _offset_polys(draw):
+    """x^lo * p for lo = 0..3 and p of up to 5 Gaussian-rational coefficients: zero and constants included."""
+    p = Poly(GaussianRational(re, im) for re, im in draw(_rows))
+    return X ** draw(st.integers(0, 3)) * p
+
+
+class TestResidualAgainstComposition:
+    """The one-pass residual is the Poly-operator composition A*y'' + B_n*y' + lambda_n*y."""
+
+    @given(
+        alpha=_parts.filter(bool), beta=_parts, gamma=_parts, delta0=_parts, delta1=_parts,
+        y=_offset_polys(), n=st.integers(0, 10),
+    )
+    @example(alpha=Fraction(1), beta=Fraction(0), gamma=Fraction(1), delta0=Fraction(0), delta1=Fraction(-1),
+             y=Poly.zero(), n=0)
+    @example(alpha=Fraction(-2, 3), beta=Fraction(1, 5), gamma=Fraction(3, 4), delta0=Fraction(1, 2),
+             delta1=Fraction(-1), y=Poly.constant(GaussianRational(2, -1)), n=3)
+    def test_matches_poly_operators(self, alpha, beta, gamma, delta0, delta1, y, n):
+        spec = LinearHGSpec(alpha, beta, gamma, delta0, delta1)
+        a = alpha * X + beta
+        b = gamma * X + (delta0 + delta1 * n)
+        assert spec.residual(y, n) == a * d2(y) + b * y.derivative() + (-n * gamma) * y
+
+
 class TestDegeneracy:
     def test_e_equation_is_degenerate(self):
         assert nu_degeneracy_check(E_SPEC)

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from scepoly.genfunc import FormalSeries, series_Em
-from scepoly.poly import ExpPoly, LaurentPoly, Poly
+from scepoly.poly import ExpPoly, LaurentPoly, Poly, _normalise
 from scepoly.rational import GaussianRational, I, as_gaussian
 
 X = Poly.x()
@@ -245,6 +245,42 @@ class TestIntegerLayerAgainstReference:
         expected = _poly_from_ref(_ref_add(_ref_derivative(p), _ref_scale(p, rate)))
         assert part.derivative(r) == expected
         assert ExpPoly.of(r, part).derivative() == ExpPoly.of(r, expected)
+
+
+@st.composite
+def raw_layouts(draw):
+    """(lo, re, im, den) as a kernel hands it to ``_normalise``: about half the numerators zero, so
+    also at either end; ``im`` empty, all zero or drawn; a factor shared by every numerator and den;
+    den = 1 or not."""
+    size = draw(st.integers(0, 7))
+    numerators = st.lists(st.just(0) | st.integers(-12, 12), min_size=size, max_size=size)
+    re = draw(numerators)
+    im = draw(st.sampled_from([(), [0] * size, draw(numerators)]))
+    shared, den = draw(st.sampled_from([1, 2, 3, 6])), draw(st.just(1) | st.integers(2, 12))
+    seq = draw(st.sampled_from([list, tuple]))
+    return draw(st.integers(-3, 3)), seq(shared * c for c in re), seq(shared * c for c in im), shared * den
+
+
+def _reference_layout(lo, re, im, den):
+    """The canonical layout rebuilt from the Fraction coefficients of the value."""
+    pairs = zip(re, im or [0] * len(re))
+    coeffs = {lo + k: (Fraction(r, den), Fraction(i, den)) for k, (r, i) in enumerate(pairs) if r or i}
+    if not coeffs:
+        return 0, (), (), 1
+    low, high = min(coeffs), max(coeffs)
+    common = lcm(*(part.denominator for c in coeffs.values() for part in c))
+    zero = (Fraction(0), Fraction(0))
+    parts = [coeffs.get(e, zero) for e in range(low, high + 1)]
+    re = tuple(int(r * common) for r, _ in parts)
+    im = tuple(int(i * common) for _, i in parts) if any(i for _, i in parts) else ()
+    return low, re, im, common
+
+
+class TestNormaliseCanonicalForm:
+    @given(layout=raw_layouts())
+    def test_matches_fraction_reference(self, layout):
+        # tuple equality: the same exponents, tuples of the same numerators, the same den
+        assert _normalise(*layout) == _reference_layout(*layout)
 
 
 # Reference for Poly: {degree: (re, im)} of plain Fractions, zero entries

@@ -135,3 +135,20 @@ def test_odes_build_each_em_once_per_rate_and_index(monkeypatch):
     assert report.all_passed, report.failures
     assert sorted(built) == sorted({(n, m) for n in range(25) for m in suites._EM_RATES})
     assert len(built) == 100
+
+
+@pytest.mark.parametrize(
+    "suite, family, ode_label", [("odes", "em_explicit", "x em''"), ("laguerre", "laguerre_general", "Laguerre ODE")]
+)
+def test_residual_catches_a_wrong_family(monkeypatch, suite, family, ode_label):
+    # A mutant family gains x^(n+1) from n = 3 on: the ODE entry of each of the
+    # suite's four rates or Laguerre parameters fails at exactly those n.
+    correct = getattr(families, family)
+
+    def mutant(n, rate):
+        p = correct(n, rate)
+        return p + Poly.monomial(n + 1) if n >= 3 else p
+
+    monkeypatch.setattr(families, family, mutant)
+    odes = [e.passed for e in run_suite(suite, 8).entries if e.label.startswith(ode_label)]
+    assert odes == [True] * (3 * 4) + [False] * (6 * 4)
