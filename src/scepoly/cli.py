@@ -20,7 +20,7 @@ from math import gcd
 
 from . import families, genfunc, integrals
 from .poly import Poly
-from .rational import GaussianRational, as_rate
+from .rational import GaussianRational
 from .suites import VERIFY_SUITES, run_suite
 
 __all__ = [
@@ -235,20 +235,9 @@ def _check_index(value: int, name: str) -> int:
     return value
 
 
-def _family_rate(args) -> Fraction | None:
-    """The rate --m: required for family 'em', refused for every other family."""
-    if args.family == "em":
-        if args.m is None:
-            raise ValueError("family 'em' requires --m")
-        return as_rate(args.m)
-    if args.m is not None:
-        raise ValueError("--m applies only to family 'em'")
-    return None
-
-
 def cmd_poly(args) -> int:
     n = _check_index(args.n, "n")
-    m = _family_rate(args)
+    m = families.family_rate(args.family, args.m)
     p = families.family_poly(args.family, n, m)
     renderers = {
         "text": render_poly_text, "latex": render_poly_latex, "csv": poly_to_csv,
@@ -262,6 +251,8 @@ def cmd_integrate(args) -> int:
     n = _check_index(args.n, "n")
     cf = integrals.closed_form(args.kind, n, args.m)  # parses --m after its kind rule
     if args.a is None and args.b is None:
+        if args.check:
+            raise ValueError("--check needs --a and --b")
         _print_exact(render_closed_form_text, cf)
         return 0
     if args.a is None or args.b is None:
@@ -297,7 +288,7 @@ def cmd_verify(args) -> int:
 
 def cmd_genfunc(args) -> int:
     order = _check_index(args.order, "order")
-    m = _family_rate(args)
+    m = families.family_rate(args.family, args.m)
     if m is not None:
         series = genfunc.series_Em(m, order)
     else:

@@ -18,10 +18,11 @@ The iterated routes are sweeps that yield indices 0..n_max, each iterate
 from the one before; the per-n function is the last element of its sweep,
 so each route has one implementation.
 
-Index convention: every constructor accepts any integer index and returns
-the zero polynomial for a negative one, which is exactly the convention the
-recurrence groups need at their low ends; a sweep to a negative n_max
-yields nothing.
+Index convention: every constructor takes any integer index and gives the
+zero polynomial for a negative one, as the recurrence groups need at their
+low ends.  The formulas give that zero themselves (an empty sum, the
+derivative of a constant, a sweep to a negative n_max, which yields
+nothing); only the Laguerre routes, whose n! is undefined there, need a guard.
 
 Normalization note for the rate-m family: e_n^(m) satisfies
 (e_n^(m))' + m*e_n^(m) = m^(n+1) * x^n, so e_n^(m) itself is *not* the
@@ -56,6 +57,7 @@ __all__ = [
     "c_from_e",
     "shat",
     "chat",
+    "family_rate",
     "family_poly",
     "check_relation_group",
     "RELATION_GROUPS",
@@ -68,8 +70,6 @@ __all__ = [
 
 def e_explicit(n: int) -> Poly:
     """e_n(x) = x^n + sum_{l=0}^{n-1} (-1)^(l+n) (n!/l!) x^l; zero for n < 0."""
-    if n < 0:
-        return Poly.zero()
     coeffs, c = [0] * (n + 1), 1  # (-1)^(l+n) n!/l!, a running product from l = n down
     for l in range(n, -1, -1):
         coeffs[l] = c
@@ -77,9 +77,9 @@ def e_explicit(n: int) -> Poly:
     return Poly.from_numerators(coeffs)
 
 
-def _last(sweep, empty):
-    """The last element of a sweep, or ``empty`` if it yields none."""
-    last = empty
+def _last(sweep):
+    """The last element of a sweep, or the zero polynomial if it yields none."""
+    last = Poly.zero()
     for last in sweep:
         pass
     return last
@@ -96,7 +96,7 @@ def e_recurrence_sweep(n_max: int) -> Iterator[Poly]:
 
 def e_recurrence(n: int) -> Poly:
     """e_n by the recurrence: the last element of ``e_recurrence_sweep(n)``; zero for n < 0."""
-    return _last(e_recurrence_sweep(n), Poly.zero())
+    return _last(e_recurrence_sweep(n))
 
 
 def rodrigues_sweep(rate, n_max: int) -> Iterator[Poly]:
@@ -121,7 +121,7 @@ def rodrigues_sweep(rate, n_max: int) -> Iterator[Poly]:
 
 def e_rodrigues(n: int) -> Poly:
     """e_n = x^(n+1) e^(-x) d^n/dx^n (x^(-1) e^x), the last element of ``rodrigues_sweep(1, n)``."""
-    return _last(rodrigues_sweep(1, n), Poly.zero())
+    return _last(rodrigues_sweep(1, n))
 
 
 def laguerre_general(n: int, alpha) -> Poly:
@@ -162,7 +162,7 @@ def em_explicit(n: int, m) -> Poly:
 
 def em_rodrigues(n: int, m) -> Poly:
     """e_n^(m) = x^(n+1) e^(-mx) d^n/dx^n (x^(-1) e^(mx)), the last element of ``rodrigues_sweep(m, n)``."""
-    return _last(rodrigues_sweep(as_rate(m), n), Poly.zero())
+    return _last(rodrigues_sweep(as_rate(m), n))
 
 
 def antideriv_poly_exp(n: int, m) -> Poly:
@@ -172,8 +172,6 @@ def antideriv_poly_exp(n: int, m) -> Poly:
     m^(n+1) is what makes the product rule close (see the module note).
     """
     m = as_rate(m)
-    if n < 0:
-        return Poly.zero()
     return em_explicit(n, m) / m ** (n + 1)
 
 
@@ -188,8 +186,6 @@ def s_explicit(n: int) -> Poly:
     parity of n: s_n(x) = -x^n + sum (-1)^((l+n)/2 + n + 1) (n!/l!) x^l over
     l = n-2, n-4, ..., which folds the even/odd closed forms into one sum.
     """
-    if n < 0:
-        return Poly.zero()
     # The sign flips and n!/l! gains a factor (l+2)(l+1) per step down.
     coeffs = [0] * (n + 1)
     c = -1
@@ -217,22 +213,28 @@ def c_from_e(n: int) -> Poly:
 
 def shat(k: int) -> Poly:
     """shat_k = -s_{k+1}'; zero for k < 0."""
-    if k < 0:
-        return Poly.zero()
     return -s_explicit(k + 1).derivative()
 
 
 def chat(k: int) -> Poly:
     """chat_k = c_{k+1}'; zero for k < 0."""
-    if k < 0:
-        return Poly.zero()
     return c_from_s(k + 1).derivative()
+
+
+def family_rate(family: str, m) -> Fraction | None:
+    """The rate m, parsed by ``as_rate``, for family 'em', which needs one; None for any other family, which refuses one."""
+    if family != "em":
+        if m is not None:
+            raise ValueError("rate m applies only to family 'em'")
+        return None
+    if m is None:
+        raise ValueError("family 'em' requires a rate m")
+    return as_rate(m)
 
 
 def family_poly(family: str, n: int, m=None) -> Poly:
     """Dispatch a family tag from {e, s, c, shat, chat, em} to its polynomial; only 'em' takes, and needs, a rate m."""
-    if family != "em" and m is not None:
-        raise ValueError("rate m applies only to family 'em'")
+    m = family_rate(family, m)
     if family == "e":
         return e_explicit(n)
     if family == "s":
@@ -244,8 +246,6 @@ def family_poly(family: str, n: int, m=None) -> Poly:
     if family == "chat":
         return chat(n)
     if family == "em":
-        if m is None:
-            raise ValueError("family 'em' requires a rate m")
         return em_explicit(n, m)
     raise ValueError(f"unknown family {family!r}")
 

@@ -128,7 +128,7 @@ def s_rodrigues_sweep(n_max: int) -> Iterator[Poly]:
 
 def s_rodrigues(n: int) -> Poly:
     """s_n by the weight-derivative route: the last element of ``s_rodrigues_sweep(n)``; zero for n < 0."""
-    return _last(s_rodrigues_sweep(n), Poly.zero())
+    return _last(s_rodrigues_sweep(n))
 
 
 def antiderivative_recurrence_report(n_max: int) -> CheckReport:

@@ -368,6 +368,23 @@ class TestExitCodes:
         code, _, _ = run_cli(capsys, "poly", "em", "--n", "1")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("poly", "em", "--n", "1"), "family 'em' requires a rate m"),
+            (("poly", "e", "--n", "2", "--m", "3"), "rate m applies only to family 'em'"),
+            (("genfunc", "--family", "em", "--order", "3"), "family 'em' requires a rate m"),
+            (("genfunc", "--family", "s", "--order", "3", "--m", "3"), "rate m applies only to family 'em'"),
+        ],
+    )
+    def test_family_rate_rule(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_check_without_bounds(self, capsys):
+        code, out, err = run_cli(capsys, "integrate", "--kind", "sin", "--n", "2", "--check")
+        assert (code, out, err) == (2, "", "error: --check needs --a and --b\n")
+
     def test_m_rejected_for_sin(self, capsys):
         code, _, _ = run_cli(capsys, "integrate", "--kind", "sin", "--n", "1", "--m", "2")
         assert code == 2

@@ -20,6 +20,7 @@ from scepoly.families import (
     em_explicit,
     em_rodrigues,
     family_poly,
+    family_rate,
     laguerre_general,
     rodrigues_sweep,
     s_explicit,
@@ -451,6 +452,22 @@ class TestFamilyDispatch:
         with pytest.raises(ValueError, match="rate m applies only to family 'em'"):
             family_poly(family, 3, m=2)
 
+    def test_family_rate(self):
+        assert family_rate("em", "-5/3") == Fraction(-5, 3)
+        assert family_rate("e", None) is None
+
+    @pytest.mark.parametrize(
+        "family, m, message",
+        [
+            ("em", None, "family 'em' requires a rate m"),
+            ("s", "2", "rate m applies only to family 'em'"),
+            ("em", "0", "rate must be nonzero"),
+        ],
+    )
+    def test_family_rate_refusals(self, family, m, message):
+        with pytest.raises(ValueError, match=message):
+            family_rate(family, m)
+
 
 # ---------------------------------------------------------------------------
 # Route independence: each route is built while the constructors it must not
@@ -574,8 +591,10 @@ class TestTypeContract:
 
     @pytest.mark.parametrize("name", PER_N_CONSTRUCTORS)
     def test_per_n_constructors_return_poly(self, name):
-        for n in range(-2, 9):
-            assert type(PER_N_CONSTRUCTORS[name](n)) is Poly, (name, n)
+        for n in range(-5, 9):
+            p = PER_N_CONSTRUCTORS[name](n)
+            assert type(p) is Poly, (name, n)
+            assert n >= 0 or p.is_zero(), (name, n)
 
     @pytest.mark.parametrize(
         "sweep",

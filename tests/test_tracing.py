@@ -36,7 +36,9 @@ print(json.dumps({"codes": codes, "metrics": tracer.layer_metrics()}))
 
 
 def test_tracer_installs_and_times_every_layer():
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    # src first, then whatever path the caller inherited (it may hold the dependencies).
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
     proc = subprocess.run(
         [sys.executable, "-c", SCRIPT, str(ROOT / "bench")],
         capture_output=True, text=True, env=env, timeout=300,
