@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
 
-from .poly import Poly, _as_poly, _im
-from .rational import I, as_rate, as_rational
+from .poly import Poly, _im
+from .rational import I, _Immutable, as_rate, as_rational
 from .report import CheckReport
 
 __all__ = [
@@ -50,7 +50,7 @@ __all__ = [
 ]
 
 
-class FormalSeries:
+class FormalSeries(_Immutable):
     """Power series in t truncated at a fixed order, Poly coefficients in x.
 
     Arithmetic never consults coefficients beyond the truncation order, and
@@ -63,12 +63,9 @@ class FormalSeries:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
-        object.__setattr__(self, "coeffs", tuple(_as_poly(c) for c in coeffs))
+        object.__setattr__(self, "coeffs", tuple(c if isinstance(c, Poly) else Poly.constant(c) for c in coeffs))
         if not self.coeffs:
             raise ValueError("a series needs at least the t^0 coefficient")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FormalSeries is immutable")
 
     def __reduce__(self):
         return FormalSeries, (self.coeffs,)

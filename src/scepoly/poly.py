@@ -29,18 +29,16 @@ from collections.abc import Iterable, Mapping
 from fractions import Fraction
 from math import gcd, lcm
 
-from .rational import GaussianRational, ZERO, as_gaussian
+from .rational import GaussianRational, ZERO, _Immutable, as_gaussian
 
 __all__ = ["Poly", "LaurentPoly", "ExpPoly"]
+_SCALARS = (int, Fraction, GaussianRational)
 
 
-class _Numerators:
+class _Numerators(_Immutable):
     """The shared layout: x^lo * sum_k (re[k] + i*im[k]) x^k / den, canonical (see ``_normalise``)."""
 
     __slots__ = ("lo", "re", "im", "den")
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):
         return _make, (type(self), self.lo, self.re, self.im, self.den)
@@ -119,7 +117,8 @@ class Poly(_Numerators):
     # -- ring arithmetic --------------------------------------------------
 
     def __add__(self, other):
-        return _make(Poly, *_add(self, _as_poly(other)))
+        other = _as_poly(other)
+        return NotImplemented if other is NotImplemented else _make(Poly, *_add(self, other))
 
     __radd__ = __add__
 
@@ -127,14 +126,16 @@ class Poly(_Numerators):
         return _raw(Poly, *_neg(self))
 
     def __sub__(self, other):
-        return _make(Poly, *_add(self, _as_poly(other), -1))
+        other = _as_poly(other)
+        return NotImplemented if other is NotImplemented else _make(Poly, *_add(self, other, -1))
 
     def __rsub__(self, other):
-        return _make(Poly, *_add(_as_poly(other), self, -1))
+        other = _as_poly(other)
+        return NotImplemented if other is NotImplemented else _make(Poly, *_add(other, self, -1))
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
-            return _make(Poly, *_scale(self, *_int_parts(other)))
+            return _make(Poly, *_scale(self, *_int_parts(other))) if isinstance(other, _SCALARS) else NotImplemented
         size = len(self.re) + len(other.re) - 1
         re, im = [0] * size, [0] * size if self.im or other.im else []
         _mul_into(re, im, self, other)
@@ -143,6 +144,8 @@ class Poly(_Numerators):
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
+        if not isinstance(scalar, _SCALARS):
+            return NotImplemented
         a, b, q = _int_parts(scalar)
         if not (a or b):
             raise ZeroDivisionError("division by zero Gaussian rational")
@@ -200,11 +203,8 @@ class Poly(_Numerators):
     # -- comparison / display ----------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, Poly):
-            try:
-                other = _as_poly(other)
-            except TypeError:
-                return NotImplemented
+        if not isinstance(other, Poly) and (other := _as_poly(other)) is NotImplemented:
+            return NotImplemented
         return (self.lo, self.re, self.im, self.den) == (other.lo, other.re, other.im, other.den)
 
     def __hash__(self):
@@ -218,10 +218,11 @@ class Poly(_Numerators):
         return "Poly(" + " + ".join(parts) + ")"
 
 
-def _as_poly(value) -> Poly:
+def _as_poly(value):
+    """value as a Poly, or NotImplemented for a non-scalar: FormalSeries and ExpPoly then reflect the operator."""
     if isinstance(value, Poly):
         return value
-    return Poly.constant(value)
+    return Poly.constant(value) if isinstance(value, _SCALARS) else NotImplemented
 
 
 def _scalar_repr(c: GaussianRational) -> str:
@@ -402,7 +403,7 @@ class LaurentPoly(_Numerators):
         return f"LaurentPoly({body})"
 
 
-class ExpPoly:
+class ExpPoly(_Immutable):
     """Finite sum of polynomial multiples of exponentials.
 
     Terms are keyed by rate: {mu: p} represents sum of p(x)*e^(mu*x), each
@@ -422,9 +423,6 @@ class ExpPoly:
             rate = as_gaussian(rate)
             out[rate] = out[rate] + part if rate in out else part
         object.__setattr__(self, "terms", {rate: part for rate, part in out.items() if not part.is_zero()})
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExpPoly is immutable")
 
     def __reduce__(self):
         return ExpPoly, (self.terms,)

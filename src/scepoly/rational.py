@@ -13,12 +13,15 @@ so these values appear only at the edges: scalars and rates in, coefficients
 out.  ``verify`` does no Q(i) arithmetic at all: its one Gaussian rate, i,
 is a dict key of ``ExpPoly`` or an argument turned into integers once.
 
-All values are immutable and every operation is a pure function, so
-everything here is safe to share across threads.
+Every exact value of the package derives from ``_Immutable``, which refuses
+assignment and deletion, and each binary operator of ``GaussianRational`` gets
+its other operand from ``_q_i_operand``: in Q(i), or ``NotImplemented``.  Every
+operation is a pure function, so everything here is safe to share across threads.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 import sys
 from fractions import Fraction
@@ -71,7 +74,30 @@ def as_rate(value) -> Fraction:
     return m
 
 
-class GaussianRational:
+class _Immutable:
+    """Base of the exact values: their slots are set by their constructors alone, never reassigned or deleted."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+
+def _q_i_operand(op):
+    """op with its other operand coerced to a GaussianRational, or NotImplemented for a
+    foreign one, so that richer types (Poly, ExpPoly) get their reflected-operator chance."""
+
+    @functools.wraps(op)
+    def coerced(self, other):
+        other = _coerce(other)
+        return NotImplemented if other is NotImplemented else op(self, other)
+
+    return coerced
+
+
+class GaussianRational(_Immutable):
     """An element a + b*i of Q(i), with exact rational components.
 
     ``re`` and ``im`` are always Fractions; the value is real when ``im`` is
@@ -86,23 +112,13 @@ class GaussianRational:
         object.__setattr__(self, "re", as_rational(re))
         object.__setattr__(self, "im", as_rational(im))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("GaussianRational is immutable")
-
     def __reduce__(self):
         return GaussianRational, (self.re, self.im)
 
     # -- arithmetic -------------------------------------------------------
-    # Binary ops return NotImplemented on foreign operands so that richer
-    # types (Poly, ExpPoly) get their reflected-operator chance.
 
+    @_q_i_operand
     def __add__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return GaussianRational(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
@@ -110,22 +126,16 @@ class GaussianRational:
     def __neg__(self):
         return GaussianRational(-self.re, -self.im)
 
+    @_q_i_operand
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return GaussianRational(self.re - other.re, self.im - other.im)
 
+    @_q_i_operand
     def __rsub__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return other - self
 
+    @_q_i_operand
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return GaussianRational(
             self.re * other.re - self.im * other.im,
             self.re * other.im + self.im * other.re,
@@ -133,10 +143,8 @@ class GaussianRational:
 
     __rmul__ = __mul__
 
+    @_q_i_operand
     def __truediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         if not other:
             raise ZeroDivisionError("division by zero Gaussian rational")
         # (a + bi)/(c + di) = (a + bi)(c - di) / (c^2 + d^2)
@@ -146,10 +154,8 @@ class GaussianRational:
             (self.im * other.re - self.re * other.im) / norm,
         )
 
+    @_q_i_operand
     def __rtruediv__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return other / self
 
     def __pow__(self, exponent: int):
@@ -170,10 +176,8 @@ class GaussianRational:
     def __bool__(self) -> bool:
         return bool(self.re or self.im)
 
+    @_q_i_operand
     def __eq__(self, other) -> bool:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):

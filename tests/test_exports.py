@@ -1,7 +1,10 @@
 """The package's public names come from its modules' ``__all__`` lists alone."""
 
 import re
+import textwrap
 from pathlib import Path
+
+import pytest
 
 import scepoly
 from scepoly import families, genfunc, integrals, poly, rational, report, suites
@@ -30,8 +33,10 @@ def test_package_list_is_the_union_plus_version():
     assert len(scepoly.__all__) == len(set(scepoly.__all__))
 
 
-def test_readme_library_example_runs():
-    text = README.read_text(encoding="utf-8")
-    section = text.split("## Library example", 1)[1]
-    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+# Every python block, the ones indented under a list item too.
+README_BLOCKS = [textwrap.dedent(b) for b in re.findall(r"```python\n(.*?)```", README.read_text("utf-8"), re.S)]
+
+
+@pytest.mark.parametrize("block", README_BLOCKS, ids=lambda block: block.splitlines()[0])
+def test_readme_code_blocks_run(block):
     exec(compile(block, "README.md", "exec"), {})

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from scepoly.genfunc import FormalSeries, series_Em
+from scepoly.genfunc import FormalSeries, series_E, series_Em
 from scepoly.poly import ExpPoly, LaurentPoly, Poly, _normalise
 from scepoly.rational import GaussianRational, I, as_gaussian
 
@@ -430,6 +430,25 @@ class TestPolyAgainstModel:
         with pytest.raises(ValueError):
             p**-1
 
+    @pytest.mark.parametrize("p", [Poly.zero(), X + 1, Poly([I, Fraction(1, 2)])], ids=repr)
+    def test_foreign_operands_get_not_implemented(self, p):
+        """A non-scalar operand is left to the other type, whose reflected operator may take it."""
+        for foreign in (1.5, "1", None, LaurentPoly({0: 1}), series_E(3), ExpPoly.of(1, X)):
+            for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__truediv__",
+                         "__eq__"):
+                assert getattr(p, name)(foreign) is NotImplemented, name
+        with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for \+: 'Poly' and 'float'"):
+            p + 1.5
+        with pytest.raises(TypeError, match="cannot interpret 'x' as a Gaussian rational"):
+            FormalSeries(["x"])
+
+    @pytest.mark.parametrize("p", [Poly.zero(), X + 1, Poly([I, Fraction(1, 2)])], ids=repr)
+    def test_products_with_richer_types_commute(self, p):
+        for other in (series_E(3), series_Em(Fraction(-5, 3), 4), ExpPoly.of(1, Poly.one()),
+                      ExpPoly([(I, X + 2), (-1, Poly.constant(3))])):
+            assert p * other == other * p
+            assert type(p * other) is type(other)
+
     def test_exppoly_refuses_laurent_parts(self):
         for part in (LaurentPoly({0: 1}), LaurentPoly({-1: 3}), 1, None):
             with pytest.raises(TypeError):
@@ -513,3 +532,17 @@ def test_immutable_values_copy_and_pickle(value, round_trip):
         assert list(other.terms) == list(value.terms)
     if isinstance(value, FormalSeries):
         assert other.coeffs == value.coeffs
+
+
+@pytest.mark.parametrize("value", IMMUTABLE_VALUES, ids=lambda v: type(v).__name__)
+def test_immutable_values_refuse_assignment_and_deletion(value):
+    value, original = copy.copy(value), value  # a failed refusal alters only the copy
+    slots = [name for cls in type(value).__mro__ for name in getattr(cls, "__slots__", ())]
+    message = f"{type(value).__name__} is immutable"
+    for name in slots + ["other"]:
+        with pytest.raises(AttributeError, match=message):
+            setattr(value, name, 1)
+    for name in slots:
+        with pytest.raises(AttributeError, match=message):
+            delattr(value, name)
+    assert value == original and repr(value) == repr(original)

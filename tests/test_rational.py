@@ -144,6 +144,19 @@ class TestGaussianRational:
         with pytest.raises(TypeError):
             as_gaussian(1.5)
 
+    @pytest.mark.parametrize("foreign", [1.5, "1", None], ids=repr)
+    def test_foreign_operands_get_not_implemented(self, foreign):
+        z = GaussianRational(Fraction(-5, 3), Fraction(1, 2))
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+                     "__truediv__", "__rtruediv__", "__eq__"):
+            assert getattr(z, name)(foreign) is NotImplemented, name
+        assert (z == foreign) is False and z != foreign
+
+    def test_decorated_operators_keep_their_names(self):
+        for name in ("__add__", "__sub__", "__rsub__", "__mul__", "__truediv__", "__rtruediv__", "__eq__"):
+            assert getattr(GaussianRational, name).__name__ == name
+            assert GaussianRational.__dict__[name] is getattr(GaussianRational, name)
+
     @given(a=gaussians, b=gaussians, c=gaussians)
     def test_field_axioms(self, a, b, c):
         assert (a + b) + c == a + (b + c)
