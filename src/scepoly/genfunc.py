@@ -92,6 +92,8 @@ class FormalSeries(_Immutable):
             )
 
     def __add__(self, other: "FormalSeries") -> "FormalSeries":
+        if not isinstance(other, FormalSeries):
+            return NotImplemented
         self._check_order(other)
         return FormalSeries(a + b for a, b in zip(self.coeffs, other.coeffs))
 
@@ -99,7 +101,7 @@ class FormalSeries(_Immutable):
         return FormalSeries(-c for c in self.coeffs)
 
     def __sub__(self, other: "FormalSeries") -> "FormalSeries":
-        return self + (-other)
+        return self + (-other) if isinstance(other, FormalSeries) else NotImplemented
 
     def __mul__(self, other):
         if not isinstance(other, FormalSeries):

@@ -9,7 +9,8 @@ The three closed forms are
 and each is one term F = Re(part(x) e^(rate x)), a ``ClosedForm`` (rate, part) read with no case per kind.
 Verification is dual-route: ``check_antiderivative`` differentiates that term exactly, while ``quad_adaptive``
 is an independent floating-point oracle (global adaptive Gauss-Kronrod 7-15 with QUADPACK's error
-estimate) that never touches the closed forms.
+estimate) that never touches the closed forms.  ``definite_integral`` rounds F(b) - F(a) correctly (Ziv's test)
+on raw ``mpmath.libmp`` values, from the integer numerators of the part at each endpoint.
 """
 
 from __future__ import annotations
@@ -21,10 +22,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
-import mpmath
+from mpmath.libmp import dps_to_prec, fone, from_rational, mpf_abs, mpf_add, mpf_cos_sin, mpf_exp
+from mpmath.libmp import mpf_mul, mpf_nint, mpf_shift, mpf_sub, round_nearest as _NEAREST, to_float, to_int
 
 from .families import _last, antideriv_poly_exp, c_from_s, chat, rodrigues_sweep, s_explicit, shat
-from .poly import ExpPoly, Poly
+from .poly import ExpPoly, Poly, _eval_numerators
 from .rational import I, ZERO, GaussianRational, as_gaussian, as_rate
 from .report import CheckReport
 
@@ -167,27 +169,26 @@ def antiderivative_recurrence_report(n_max: int) -> CheckReport:
 # ---------------------------------------------------------------------------
 
 # 40 digits settle every sampled request in the documented domain; 8 bits of slack cover one value's roundings.
-_START_PREC, _SLACK_BITS = mpmath.libmp.dps_to_prec(40), 8
+_START_PREC, _SLACK_BITS = dps_to_prec(40), 8
 
 
-def _mpq(q: Fraction):
-    return mpmath.mpf(q.numerator) / q.denominator
-
-
-def _value_mp(rate: GaussianRational, x: float, c: GaussianRational):
-    """F(x) = Re(c e^(rate x)) = e^(ax) (Re c cos bx - Im c sin bx) at rate a + bi from the exact part value c,
-    and its noise (|Re c cos bx| + |Im c sin bx|) e^(ax) (1 + |ax|): x and bx are exact (b is 0 or 1), but exp
-    turns the absolute error of the rounded ax into relative error.  A zero a or b is skipped: cos 0 = e^0 = 1."""
-    value = _mpq(c.re)
-    size = abs(value)
-    if rate.im:
-        bx = _mpq(rate.im) * x
-        u, v = value * mpmath.cos(bx), _mpq(c.im) * mpmath.sin(bx)
-        value, size = u - v, abs(u) + abs(v)
-    if rate.re:
-        ax = _mpq(rate.re) * x
-        scale = mpmath.exp(ax)
-        value, size = value * scale, size * scale * (1 + abs(ax))
+def _value_mp(a, b, p: int, q: int, c: tuple[int, int, int], prec: int):
+    """F(x) = Re(c e^(rate x)) = e^(ax) (Re c cos bx - Im c sin bx) at x = p/q and rate a + bi, c = (re + im*i)/den,
+    and its noise (|Re c cos bx| + |Im c sin bx|) e^(ax) (1 + |ax|), as raw mpf values rounded to nearest at prec (a
+    zero a or b is skipped).  A double x and bx are exact (b is 0 or 1), but exp turns ax's absolute error relative."""
+    re, im, den = c
+    x, value = from_rational(p, q, prec, _NEAREST), from_rational(re, den, prec, _NEAREST)
+    size = mpf_abs(value)
+    if b:
+        cos, sin = mpf_cos_sin(mpf_mul(b, x, prec, _NEAREST), prec, _NEAREST)
+        u = mpf_mul(value, cos, prec, _NEAREST)
+        v = mpf_mul(from_rational(im, den, prec, _NEAREST), sin, prec, _NEAREST)
+        value, size = mpf_sub(u, v, prec, _NEAREST), mpf_add(mpf_abs(u), mpf_abs(v), prec, _NEAREST)
+    if a:
+        ax = mpf_mul(a, x, prec, _NEAREST)
+        scale = mpf_exp(ax, prec, _NEAREST)
+        value, size = mpf_mul(value, scale, prec, _NEAREST), mpf_mul(size, scale, prec, _NEAREST)
+        size = mpf_mul(size, mpf_add(fone, mpf_abs(ax), prec, _NEAREST), prec, _NEAREST)
     return value, size
 
 
@@ -224,8 +225,9 @@ def _rounds_to_zero(cf: ClosedForm, b: float, a: float) -> bool:
 def _closed_form_float(cf: ClosedForm, points, what: str) -> float:
     """The double nearest F(x) for points [x], or F(b) - F(a) for [b, a].
 
-    Polynomial values are exact; the rest is rounded at precision p, within
-    err = noise * 2^(_SLACK_BITS - p) of total.  Rounding is monotone, so once
+    Polynomial values are exact integer numerators over one denominator (``_eval_numerators``), one per point;
+    the rest runs on raw ``mpmath.libmp`` values, each conversion and step rounded at most once, to nearest at
+    precision p, within err = noise * 2^(_SLACK_BITS - p) of total.  Rounding is monotone, so once
     total - err and total + err round to the same double, it is the nearest
     (Ziv's test); otherwise p doubles.  A rational value (0, or a midpoint) may
     never settle, so the first unsettled pass looks for one; it is 0 unless a point is 0.
@@ -235,20 +237,23 @@ def _closed_form_float(cf: ClosedForm, points, what: str) -> float:
     """
     if len(points) == 2 and _rounds_to_zero(cf, *points):
         return 0.0
-    at = [(x, cf.part.eval(Fraction(x))) for x in points]
+    at = [(p, q, _eval_numerators(cf.part, p, 0, q)) for p, q in (x.as_integer_ratio() for x in points)]
     prec = _START_PREC
     while True:
-        with mpmath.workprec(prec):
-            values = [_value_mp(cf.rate, x, c) for x, c in at]
-            total, noise = (values[0][0] - values[1][0], values[0][1] + values[1][1]) if len(at) == 2 else values[0]
-            err = mpmath.ldexp(noise, _SLACK_BITS - prec)
-            lo, hi = float(total - err), float(total + err)
-            if lo == hi and abs(hi) <= sys.float_info.min:  # float() rounds twice there; round to 2^-1074 once
-                lo, hi = (math.ldexp(int(mpmath.nint(v * 2**1074)), -1074) for v in (total - err, total + err))
+        a, b = (r and from_rational(r.numerator, r.denominator, prec, _NEAREST) for r in (cf.rate.re, cf.rate.im))
+        (total, noise), *rest = [_value_mp(a, b, p, q, c, prec) for p, q, c in at]
+        for value, size in rest:  # F(b) - F(a)
+            total, noise = mpf_sub(total, value, prec, _NEAREST), mpf_add(noise, size, prec, _NEAREST)
+        err = mpf_shift(noise, _SLACK_BITS - prec)
+        bounds = mpf_sub(total, err, prec, _NEAREST), mpf_add(total, err, prec, _NEAREST)
+        lo, hi = (to_float(v, rnd=_NEAREST) for v in bounds)
+        if lo == hi and abs(hi) <= sys.float_info.min:  # to_float rounds twice there; round to 2^-1074 once
+            lo, hi = (math.ldexp(int(to_int(mpf_nint(mpf_shift(v, 1074)))), -1074) for v in bounds)
         if lo == hi:
             break
-        if prec == _START_PREC:
-            value = _exact_value(cf.rate, at) if lo <= 0 <= hi or 0 in points else None
+        if prec == _START_PREC and (lo <= 0 <= hi or 0 in points):
+            exact = [(Fraction(p, q), GaussianRational(Fraction(re, d), Fraction(im, d))) for p, q, (re, im, d) in at]
+            value = _exact_value(cf.rate, exact)
             if value is not None:  # 2^1024 - 2^970 is the least value that rounds to 2^1024
                 hi = float(value) if abs(value) < 2**1024 - 2**970 else math.inf
                 break

@@ -166,16 +166,9 @@ class Poly(_Numerators):
         return _make(Poly, *_derivative(self, *_int_parts(rate)))
 
     def eval(self, z) -> GaussianRational:
-        """Exact value at z = (a + b*i)/q: the sum of (re[k] + im[k]*i)(a + b*i)^k q^(d-k),
-        accumulated by Horner in ints, is divided by den*q^d once, at the end."""
-        a, b, q = _int_parts(z)
-        acc_re = acc_im = 0
-        scale = 1  # q^(d-k) for the coefficient of x^k
-        for r, s in zip([*reversed(self.re), *[0] * self.lo], [*reversed(_im(self)), *[0] * self.lo]):
-            acc_re, acc_im = acc_re * a - acc_im * b + r * scale, acc_re * b + acc_im * a + s * scale
-            scale *= q
-        den = self.den * q ** max(self.degree, 0)
-        return GaussianRational(Fraction(acc_re, den), Fraction(acc_im, den))
+        """Exact value at z, from the numerators of ``_eval_numerators``."""
+        re, im, den = _eval_numerators(self, *_int_parts(z))
+        return GaussianRational(Fraction(re, den), Fraction(im, den))
 
     def eval_float(self, x: float) -> float:
         """Float Horner evaluation; each coefficient is rounded on its own."""
@@ -290,6 +283,17 @@ def _int_parts(value) -> tuple[int, int, int]:
     c = as_gaussian(value)
     q = lcm(c.re.denominator, c.im.denominator)
     return c.re.numerator * (q // c.re.denominator), c.im.numerator * (q // c.im.denominator), q
+
+
+def _eval_numerators(p, a: int, b: int, q: int) -> tuple[int, int, int]:
+    """(re, im, den), unreduced, with p((a + b*i)/q) = (re + im*i)/den: the sum of (re[k] + im[k]*i)(a + b*i)^k q^(d-k),
+    accumulated by Horner in ints, over den = p.den*q^d."""
+    acc_re = acc_im = 0
+    scale = 1  # q^(d-k) for the coefficient of x^k
+    for r, s in zip([*reversed(p.re), *[0] * p.lo], [*reversed(_im(p)), *[0] * p.lo]):
+        acc_re, acc_im = acc_re * a - acc_im * b + r * scale, acc_re * b + acc_im * a + s * scale
+        scale *= q
+    return acc_re, acc_im, p.den * q ** max(p.degree, 0)
 
 
 def _im(p) -> tuple:
@@ -436,13 +440,15 @@ class ExpPoly(_Immutable):
         return not self.terms
 
     def __add__(self, other: "ExpPoly") -> "ExpPoly":
+        if not isinstance(other, ExpPoly):
+            return NotImplemented
         return ExpPoly(list(self.terms.items()) + list(other.terms.items()))
 
     def __neg__(self) -> "ExpPoly":
         return ExpPoly({r: -p for r, p in self.terms.items()})
 
     def __sub__(self, other: "ExpPoly") -> "ExpPoly":
-        return self + (-other)
+        return self + (-other) if isinstance(other, ExpPoly) else NotImplemented
 
     def __mul__(self, scalar) -> "ExpPoly":
         return ExpPoly({r: p * scalar for r, p in self.terms.items()})

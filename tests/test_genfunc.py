@@ -23,7 +23,7 @@ from scepoly.genfunc import (
     series_exp_xt,
     sigma_linear,
 )
-from scepoly.poly import Poly
+from scepoly.poly import ExpPoly, Poly
 from scepoly.rational import GaussianRational, I
 
 X = Poly.x()
@@ -119,6 +119,19 @@ class TestSeriesArithmetic:
         f = series_S(5)
         assert f - f == FormalSeries.zero(5)
         assert -(-f) == f
+
+    def test_foreign_operands_get_not_implemented(self):
+        """+ and - take only a FormalSeries; - checks the type before it negates."""
+        f = series_E(3)
+        for foreign in (1, Fraction(1, 2), I, X, 1.5, "1", None, ExpPoly.of(1, X)):
+            assert f.__add__(foreign) is NotImplemented
+            assert f.__sub__(foreign) is NotImplemented
+        with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for -: 'FormalSeries' and 'int'"):
+            f - 1
+        with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for \+: 'FormalSeries' and 'Poly'"):
+            f + X
+        with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for -: 'int' and 'FormalSeries'"):
+            1 - f
 
 
 class TestExpXtSeries:

@@ -5,6 +5,9 @@ from fractions import Fraction
 from itertools import product
 
 import mpmath
+from mpmath.libmp import (
+    fone, from_float, from_rational, fzero, mpf_abs, mpf_add, mpf_cos, mpf_exp, mpf_mul, mpf_sin, round_nearest,
+)
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -335,11 +338,19 @@ class TestCorrectRounding:
             return
         assert definite_integral(cf, a, b) == expected
 
+    def test_integer_endpoints_match_their_doubles(self):
+        for kind, m in (("sin", None), ("cos", None), ("exp", Fraction(-5, 3))):
+            cf = closed_form(kind, 9, m)
+            for a, b in ((0, 1), (-3, 4), (2, 2), (5, -2)):
+                assert definite_integral(cf, a, b) == definite_integral(cf, float(a), float(b))
+            assert eval_closed_form(cf, 3) == eval_closed_form(cf, 3.0)
+
     def test_tiny_value_is_zero_before_any_pass(self, monkeypatch):
         # Without the size bound this value, about 1e-19782, settles only at 2,176 bits.
         points = []
-        value_mp = integrals._value_mp
-        monkeypatch.setattr(integrals, "_value_mp", lambda cf, x, values: points.append(x) or value_mp(cf, x, values))
+        kernel = integrals._eval_numerators
+        monkeypatch.setattr(integrals, "_eval_numerators",
+                            lambda p, a, b, q: points.append(Fraction(a, q)) or kernel(p, a, b, q))
         for a, b in ((1e-300, 2e-300), (2e-300, 1e-300)):
             assert definite_integral(closed_form("sin", 64), a, b) == 0.0
         assert definite_integral(closed_form("cos", 7), 2.5, 2.5) == 0.0  # an empty interval's bound is 0
@@ -386,9 +397,12 @@ class TestExactValue:
 
     @pytest.mark.parametrize("bounds", [("sin", "64", "-1e300", "1e300"), ("cos", "1", "-2", "2")])
     def test_the_part_is_evaluated_once_per_point(self, bounds, monkeypatch, capsys):
-        # The float pass and the exact value share one part value per endpoint.
+        # The float pass and the exact value share one part value per endpoint: the integer kernel, as
+        # ``integrals`` binds it, runs once per endpoint, and ``Poly.eval`` not at all.
         points = []
-        poly_eval = Poly.eval
+        kernel, poly_eval = integrals._eval_numerators, Poly.eval
+        monkeypatch.setattr(integrals, "_eval_numerators",
+                            lambda p, a, b, q: points.append(Fraction(a, q)) or kernel(p, a, b, q))
         monkeypatch.setattr(Poly, "eval", lambda p, z: points.append(z) or poly_eval(p, z))
         kind, n, a, b = bounds
         assert main(["integrate", "--kind", kind, "--n", n, "--a", a, "--b", b]) == 0
@@ -396,15 +410,26 @@ class TestExactValue:
         assert points == [Fraction(float(b)), Fraction(float(a))]
 
 
-def _per_kind_value_mp(kind, m, x, values):
+def _per_kind_value_mp(kind, m, x, values, prec):
     """``integrals._value_mp`` as it was with one formula per kind, from the values of
-    P (exp), or of P and Q in P cos x + Q sin x (sin and cos)."""
+    P (exp), or of P and Q in P cos x + Q sin x (sin and cos), as raw mpf values with
+    each rational rounded once and each step rounded to nearest at prec."""
+    def mpq(q):
+        return from_rational(q.numerator, q.denominator, prec, round_nearest)
+
+    def mul(u, v):
+        return mpf_mul(u, v, prec, round_nearest)
+
+    def add(u, v):
+        return mpf_add(u, v, prec, round_nearest)
+
+    x = from_float(x)
     if kind == "exp":
-        exponent = integrals._mpq(m) * x
-        term = integrals._mpq(values[0]) * mpmath.exp(exponent)
-        return term, abs(term) * (1 + abs(exponent))
-    c, s = integrals._mpq(values[0]) * mpmath.cos(x), integrals._mpq(values[1]) * mpmath.sin(x)
-    return c + s, abs(c) + abs(s)
+        exponent = mul(mpq(m), x)
+        term = mul(mpq(values[0]), mpf_exp(exponent, prec, round_nearest))
+        return term, mul(mpf_abs(term), add(fone, mpf_abs(exponent)))
+    c, s = mul(mpq(values[0]), mpf_cos(x, prec, round_nearest)), mul(mpq(values[1]), mpf_sin(x, prec, round_nearest))
+    return add(c, s), add(mpf_abs(c), mpf_abs(s))
 
 
 class TestValueAndNoise:
@@ -427,12 +452,16 @@ class TestValueAndNoise:
             part = parts[0] - parts[1] * I if m is None else parts[0]
             for x in xs:
                 values = [p.eval(Fraction(x)).re for p in parts]
+                num, q = x.as_integer_ratio()
+                numerators = integrals._eval_numerators(part, num, 0, q)
                 for prec in (53, 136, 272, 1088):
-                    with mpmath.workprec(prec):
-                        got = integrals._value_mp(rate, x, part.eval(Fraction(x)))
-                        want = _per_kind_value_mp(kind, m, x, values)
+                    # The rate's parts as ``_closed_form_float`` converts them once per pass.
+                    a, b = (r and from_rational(r.numerator, r.denominator, prec, round_nearest)
+                            for r in (rate.re, rate.im))
+                    got = integrals._value_mp(a, b, num, q, numerators, prec)
+                    want = _per_kind_value_mp(kind, m, x, values, prec)
                     assert got == want, (kind, m, parts, x, prec)
-                    distinct.add((kind, bool(want[0]), bool(want[1])))
+                    distinct.add((kind, want[0] != fzero, want[1] != fzero))
         assert {("exp", True, True), ("exp", False, False), ("sin", True, True), ("cos", False, False)} <= distinct
 
 

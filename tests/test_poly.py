@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from scepoly.genfunc import FormalSeries, series_E, series_Em
-from scepoly.poly import ExpPoly, LaurentPoly, Poly, _normalise
+from scepoly.poly import ExpPoly, LaurentPoly, Poly, _eval_numerators, _normalise
 from scepoly.rational import GaussianRational, I, as_gaussian
 
 X = Poly.x()
@@ -160,6 +160,20 @@ class TestExpPoly:
     def test_nth_derivative_order_zero(self):
         f = ExpPoly.of(2, Poly.monomial(3))
         assert f.nth_derivative(0) == f
+
+    def test_foreign_operands_get_not_implemented(self):
+        """+ and - take only an ExpPoly; - checks the type before it negates."""
+        f = ExpPoly.of(1, X)
+        for foreign in (1, Fraction(1, 2), I, X, 1.5, "1", None, series_E(3)):
+            assert f.__add__(foreign) is NotImplemented
+            assert f.__sub__(foreign) is NotImplemented
+        with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for \+: 'ExpPoly' and 'Poly'"):
+            f + X
+        with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for -: 'ExpPoly' and 'int'"):
+            f - 1
+        with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for -: 'Poly' and 'ExpPoly'"):
+            X - f
+        assert f + ExpPoly.of(2, X) - ExpPoly.of(2, X) == f
 
     def test_distinct_rates_merge_on_construction(self):
         f = ExpPoly([(1, Poly.constant(1)), (1, Poly.constant(2))])
@@ -510,6 +524,31 @@ class TestEvalAgainstReference:
     def test_refuses_floats(self):
         with pytest.raises(TypeError):
             X.eval(0.5)
+
+
+# (a, b, q) for z = (a + b*i)/q: each float as the definite integral passes it, and one unreduced Gaussian point.
+KERNEL_POINTS = [(p, 0, q) for p, q in map(float.as_integer_ratio, (0.0, -0.0, 3.25, -3.25, 1e300, 5e-324))]
+KERNEL_POINTS.append((-10, 3, 6))
+KERNEL_POLYS = [
+    Poly.zero(),
+    Poly.constant(Fraction(-5, 9)),
+    Poly([1, -3, Fraction(1, 2), 0, 7]),
+    Poly.monomial(3, Fraction(2, 7)) + Poly.monomial(5, -1),  # lo = 3
+    Poly([GaussianRational(Fraction(1, 3), 2), 0, -I, Fraction(5, 7)]),
+    Poly.monomial(2, I) * (X - Fraction(3, 4)),  # Gaussian, lo = 2
+]
+
+
+@pytest.mark.parametrize("z", KERNEL_POINTS, ids=repr)
+@pytest.mark.parametrize("p", KERNEL_POLYS, ids=repr)
+def test_eval_numerators_match_eval(p, z):
+    """The integer kernel's unreduced (re, im, den) is p's exact value at z, over p.den * q^degree."""
+    a, b, q = z
+    re, im, den = _eval_numerators(p, a, b, q)
+    point = GaussianRational(Fraction(a, q), Fraction(b, q))
+    assert Fraction(re, den) + I * Fraction(im, den) == p.eval(point)
+    assert (Fraction(re, den), Fraction(im, den)) == _ref_eval(p.coeffs, point)
+    assert den == p.den * q ** max(p.degree, 0)
 
 
 IMMUTABLE_VALUES = [
