@@ -22,12 +22,11 @@ expands it; for the e_n equation it reproduces E above, exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
 
 from .poly import Poly, _im
-from .rational import I, _Immutable, as_rate, as_rational
+from .rational import I, _Immutable, _Record, as_rate, as_rational
 from .report import CheckReport
 
 __all__ = [
@@ -66,9 +65,6 @@ class FormalSeries(_Immutable):
         object.__setattr__(self, "coeffs", tuple(c if isinstance(c, Poly) else Poly.constant(c) for c in coeffs))
         if not self.coeffs:
             raise ValueError("a series needs at least the t^0 coefficient")
-
-    def __reduce__(self):
-        return FormalSeries, (self.coeffs,)
 
     @classmethod
     def zero(cls, order: int) -> "FormalSeries":
@@ -206,23 +202,17 @@ def series_connection_check(order: int) -> CheckReport:
 # Linear hypergeometric equations and their weight functions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LinearHGSpec:
-    """A(x) = alpha*x + beta, B(x) = gamma*x + delta0 + delta1*n.
+class LinearHGSpec(_Record):
+    """A(x) = alpha*x + beta, B(x) = gamma*x + delta0 + delta1*n, each coefficient a Fraction.
 
     The index n enters only through the constant term of B; every family in
     scope fits that shape.  alpha must be nonzero.
     """
 
-    alpha: Fraction
-    beta: Fraction
-    gamma: Fraction
-    delta0: Fraction
-    delta1: Fraction
+    __slots__ = ("alpha", "beta", "gamma", "delta0", "delta1")
 
-    def __post_init__(self):
-        for field in ("alpha", "beta", "gamma", "delta0", "delta1"):
-            object.__setattr__(self, field, as_rational(getattr(self, field)))
+    def __init__(self, alpha, beta, gamma, delta0, delta1):
+        super().__init__(*map(as_rational, (alpha, beta, gamma, delta0, delta1)))
         if self.alpha == 0:
             raise ValueError("leading coefficient alpha must be nonzero")
 
@@ -265,14 +255,10 @@ def laguerre_spec(alpha_l) -> LinearHGSpec:
     return LinearHGSpec(1, 0, -1, as_rational(alpha_l) + 1, 0)
 
 
-@dataclass(frozen=True)
-class WeightForm:
-    """(alpha*x + beta)^exponent * e^(rate*x), kept symbolic."""
+class WeightForm(_Record):
+    """(alpha*x + beta)^exponent * e^(rate*x), kept symbolic, each field a Fraction."""
 
-    alpha: Fraction
-    beta: Fraction
-    exponent: Fraction
-    rate: Fraction
+    __slots__ = ("alpha", "beta", "exponent", "rate")
 
 
 def rho_linear(spec: LinearHGSpec, n: int) -> WeightForm:

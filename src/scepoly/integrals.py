@@ -18,7 +18,6 @@ from __future__ import annotations
 import heapq
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
@@ -27,7 +26,7 @@ from mpmath.libmp import mpf_mul, mpf_nint, mpf_shift, mpf_sub, round_nearest as
 
 from .families import _last, antideriv_poly_exp, c_from_s, chat, rodrigues_sweep, s_explicit, shat
 from .poly import ExpPoly, Poly, _eval_numerators
-from .rational import I, ZERO, GaussianRational, as_gaussian, as_rate
+from .rational import I, ZERO, GaussianRational, _Record, as_gaussian, as_rate
 from .report import CheckReport
 
 __all__ = [
@@ -48,16 +47,12 @@ __all__ = [
 KINDS = ("sin", "cos", "exp")
 
 
-@dataclass(frozen=True)
-class ClosedForm:
+class ClosedForm(_Record):
     """The antiderivative F = Re(part(x) e^(rate x)) of x^n * basis, less the constant, which differentiates away:
     rate i and part s_n - i shat_{n-1} (sin) or chat_{n-1} - i c_n (cos), or rate m and part P, P' + m*P = x^n (exp).
     """
 
-    kind: str
-    n: int
-    rate: GaussianRational
-    part: Poly
+    __slots__ = ("kind", "n", "rate", "part")
 
 
 def _minus_i(p: Poly, q: Poly) -> Poly:
@@ -206,11 +201,11 @@ def _exact_value(rate: GaussianRational, at) -> Optional[Fraction]:
 def _rounds_to_zero(cf: ClosedForm, b: float, a: float) -> bool:
     """True if |F(b) - F(a)| <= |b - a| * max(|a|, |b|)^n * G <= 2^-1075, where G = 3^ceil(max(0, g*a, g*b))
     bounds |e^(rate x)| = e^(gx) on [a, b] for g = Re(rate), as e < 3 (G = 1 for sin and cos).
-    A float's ``as_integer_ratio`` denominator is a power of 2, so with b - a = (B - A)/q and
-    max(|a|, |b|) = p/r the test is |B - A| * p^n * G * 2^1075 <= q * r^n, in integers with no
-    Fraction and no gcd; q * r^n is a shift."""
+    With b - a = (B - A)/q, q the lcm of the endpoint denominators, and max(|a|, |b|) = p/r, the test is
+    |B - A| * p^n * G * 2^1075 <= den in integers, where the shift den is a power-of-two lower bound on
+    q * r^n: sound for any rational endpoints, and exact for doubles, whose denominators are powers of 2."""
     (pa, qa), (pb, qb) = a.as_integer_ratio(), b.as_integer_ratio()
-    (p, r), q = max(abs(a), abs(b)).as_integer_ratio(), max(qa, qb)
+    (p, r), q = max(abs(a), abs(b)).as_integer_ratio(), math.lcm(qa, qb)
     A, B = pa * (q // qa), pb * (q // qb)
     num, den = abs(B - A) * p**cf.n << 1075, 1 << (q.bit_length() - 1 + (r.bit_length() - 1) * cf.n)
     if not num or num > den:
@@ -287,11 +282,8 @@ def integrand_function(kind: str, n: int, m=1) -> Callable[[float], float]:
     raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
 
 
-@dataclass(frozen=True)
-class QuadResult:
-    value: float
-    est_error: float
-    evaluations: int
+class QuadResult(_Record):
+    __slots__ = ("value", "est_error", "evaluations")
 
 
 # Gauss-Kronrod 7-15 on [-1, 1] (QUADPACK qk15): (node, Kronrod weight,

@@ -385,8 +385,8 @@ class LaurentPoly(_Numerators):
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
         return _make(LaurentPoly, *_add(self, other, -1))
 
-    def __mul__(self, scalar) -> "LaurentPoly":
-        return _make(LaurentPoly, *_scale(self, *_int_parts(scalar)))
+    def __mul__(self, scalar):
+        return _make(LaurentPoly, *_scale(self, *_int_parts(scalar))) if isinstance(scalar, _SCALARS) else NotImplemented
 
     __rmul__ = __mul__
 
@@ -427,9 +427,6 @@ class ExpPoly(_Immutable):
             rate = as_gaussian(rate)
             out[rate] = out[rate] + part if rate in out else part
         object.__setattr__(self, "terms", {rate: part for rate, part in out.items() if not part.is_zero()})
-
-    def __reduce__(self):
-        return ExpPoly, (self.terms,)
 
     @classmethod
     def of(cls, rate, part) -> "ExpPoly":

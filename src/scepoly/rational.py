@@ -13,10 +13,11 @@ so these values appear only at the edges: scalars and rates in, coefficients
 out.  ``verify`` does no Q(i) arithmetic at all: its one Gaussian rate, i,
 is a dict key of ``ExpPoly`` or an argument turned into integers once.
 
-Every exact value of the package derives from ``_Immutable``, which refuses
-assignment and deletion, and each binary operator of ``GaussianRational`` gets
-its other operand from ``_q_i_operand``: in Q(i), or ``NotImplemented``.  Every
-operation is a pure function, so everything here is safe to share across threads.
+Every value of the package derives from ``_Immutable``: it refuses assignment and deletion, and
+copies and pickles as its constructor applied to its slots in order (``__reduce__``).  The records
+(``ClosedForm``, ``CheckEntry``, …) derive from ``_Record``, whose fields are its slots.  Each binary
+operator of ``GaussianRational`` gets its other operand from ``_q_i_operand``: in Q(i), or
+``NotImplemented``.  Every operation is a pure function, so everything here is safe to share across threads.
 """
 
 from __future__ import annotations
@@ -75,7 +76,7 @@ def as_rate(value) -> Fraction:
 
 
 class _Immutable:
-    """Base of the exact values: their slots are set by their constructors alone, never reassigned or deleted."""
+    """Base of the values: their slots are set by their constructors alone, never reassigned or deleted."""
 
     __slots__ = ()
 
@@ -83,6 +84,29 @@ class _Immutable:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class _Record(_Immutable):
+    """A record whose fields are its ``__slots__``, given to the constructor positionally; it compares,
+    hashes and prints by them, like ``WeightForm(alpha=Fraction(1, 1), beta=…)``."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):  # a missing or extra value: ValueError
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        return self.__reduce__() == other.__reduce__() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self.__reduce__()[1])
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({', '.join(f'{name}={getattr(self, name)!r}' for name in self.__slots__)})"
 
 
 def _q_i_operand(op):

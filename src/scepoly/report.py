@@ -6,20 +6,21 @@ identity so callers (tests, the verify command) can render or aggregate them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .rational import _Record
 
 __all__ = ["CheckEntry", "CheckReport"]
 
 
-@dataclass(frozen=True)
-class CheckEntry:
-    label: str
-    passed: bool
+class CheckEntry(_Record):
+    __slots__ = ("label", "passed")
+
+    def __init__(self, label: str, passed: bool):  # a verify pass builds thousands: no field loop
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "passed", passed)
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    entries: tuple[CheckEntry, ...]
+class CheckReport(_Record):
+    __slots__ = ("entries",)
 
     @property
     def all_passed(self) -> bool:

@@ -649,8 +649,8 @@ class TestGenfuncCommand:
         assert (code, out, err) == (0, expected + "\n", "")
 
 
-def run_module(*argv, timeout=None):
-    """Run ``python -m scepoly.cli`` in a child process.
+def run_python(*args, timeout=None):
+    """Run ``python *args`` in a child process.
 
     The child does not inherit pytest's pythonpath setting, so an uninstalled
     checkout needs its src/ put on the child's path.
@@ -658,13 +658,12 @@ def run_module(*argv, timeout=None):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-    return subprocess.run(
-        [sys.executable, "-m", "scepoly.cli", *argv],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=timeout,
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout)
+
+
+def run_module(*argv, timeout=None):
+    """Run ``python -m scepoly.cli`` in a child process."""
+    return run_python("-m", "scepoly.cli", *argv, timeout=timeout)
 
 
 class TestConsoleEntry:
@@ -672,6 +671,22 @@ class TestConsoleEntry:
         proc = run_module("poly", "e", "--n", "2")
         assert proc.returncode == 0
         assert proc.stdout == "x^2 - 2x + 2\n"
+
+    def test_requests_do_not_import_dataclasses(self):
+        # The records are _Immutable values, so neither the import nor a request loads dataclasses.
+        script = (
+            "import sys, scepoly\n"
+            "from scepoly.cli import main\n"
+            "seen = [('import', 0, 'dataclasses' in sys.modules)]\n"
+            "for argv in (['poly', 'e', '--n', '5'], ['genfunc', '--family', 'c', '--order', '2'],\n"
+            "             ['verify', '--suite', 'all', '--max-n', '8']):\n"
+            "    seen.append((argv[0], main(argv), 'dataclasses' in sys.modules))\n"
+            "print(seen, file=sys.stderr)\n"
+        )
+        proc = run_python("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == (
+            "[('import', 0, False), ('poly', 0, False), ('genfunc', 0, False), ('verify', 0, False)]\n")
 
     def test_wide_check_exhausts_the_panel_cap_quickly(self):
         # Every panel of [0, 1e16] has a large error, so only the panel cap

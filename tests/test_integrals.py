@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import fields, replace
 from fractions import Fraction
 from itertools import product
 
@@ -94,7 +93,7 @@ class TestSymbolicVerification:
 
     def test_perturbed_form_fails(self):
         cf = closed_form("sin", 4)
-        broken = replace(cf, part=cf.part + 1 + X)
+        broken = ClosedForm(cf.kind, cf.n, cf.rate, cf.part + 1 + X)
         assert not check_antiderivative(broken)
 
     def test_gaussian_rate_checks_against_that_rate(self):
@@ -127,7 +126,7 @@ class TestSymbolicVerification:
                     part = su * u - sv * v * I
                     if part == cf.part:
                         continue
-                    assert not check_antiderivative(replace(cf, part=part)), (kind, n)
+                    assert not check_antiderivative(ClosedForm(cf.kind, cf.n, cf.rate, part)), (kind, n)
                     rejected += 1
         # 7 mutants per form; at n = 0 one part is 0, so one sign flip of each form is the form itself.
         assert rejected == 2 * 11 * 7 - 2
@@ -253,6 +252,21 @@ class TestDefiniteIntegral:
     def test_x_exp_x_over_unit_interval(self):
         value = definite_integral(closed_form("exp", 1, 1), 0.0, 1.0)
         assert value == pytest.approx(1.0, abs=1e-12)
+
+    def test_fraction_endpoints(self):
+        # 1/3 and 1/2 share the denominator lcm(3, 2) = 6, not max(3, 2) = 3, over which both numerators are 1.
+        with mpmath.workdps(50):
+            F = lambda x: (2 - x**2) * mpmath.cos(x) + 2 * x * mpmath.sin(x)  # noqa: E731
+            want = float(F(mpmath.mpf(1) / 2) - F(mpmath.mpf(1) / 3))
+        cf = closed_form("sin", 2)
+        assert definite_integral(cf, Fraction(1, 3), Fraction(1, 2)) == want
+        assert definite_integral(cf, Fraction(1, 4), Fraction(1, 2)) == definite_integral(cf, 0.25, 0.5)
+
+    @pytest.mark.usefixtures("deadline")
+    def test_tiny_fraction_interval_is_zero(self):
+        a, b = Fraction(1, 3 * 10**300), Fraction(2, 3 * 10**300)
+        assert integrals._rounds_to_zero(closed_form("sin", 64), b, a)
+        assert definite_integral(closed_form("sin", 64), a, b) == 0.0
 
 
 def _tabular_reference(kind, n, m, a, b):
@@ -481,6 +495,9 @@ def _reference_rounds_to_zero(kind, n, m, b, a):
 # Any finite double, subnormals and both zeros among them, or one of magnitude 2^-1100 to 2^20.
 _BOUND_POINTS = st.floats(allow_nan=False, allow_infinity=False) | st.builds(
     math.ldexp, st.floats(-1, 1), st.integers(-1100, 20))
+# p/q * 2^-k with any small q, so that endpoint denominators need not divide one another.
+_FRACTION_POINTS = st.builds(lambda p, q, k: Fraction(p, q) / 2**k, st.integers(-9, 9), st.integers(1, 99),
+                             st.integers(0, 1100))
 
 
 class TestSizeBound:
@@ -506,6 +523,20 @@ class TestSizeBound:
         expected = _reference_rounds_to_zero(kind, n, m, b, a)
         assert integrals._rounds_to_zero(cf, b, a) == expected
         assert integrals._rounds_to_zero(cf, a, b) == expected
+
+    @given(
+        kind=st.sampled_from(KINDS),
+        n=st.sampled_from([0, 1, 2, 64]),
+        a=_FRACTION_POINTS,
+        b=_FRACTION_POINTS,
+    )
+    @settings(deadline=None, max_examples=300)
+    @example(kind="sin", n=2, a=Fraction(1, 3), b=Fraction(1, 2))
+    def test_sound_for_fraction_endpoints(self, kind, n, a, b):
+        # Over the lcm of the denominators a shift bounds q * r^n from below: "rounds to zero" is never wrong.
+        cf = closed_form(kind, n, Fraction(-5, 3) if kind == "exp" else None)
+        if integrals._rounds_to_zero(cf, b, a):
+            assert _reference_rounds_to_zero(kind, n, Fraction(-5, 3), b, a)
 
 
 class TestQuadrature:
@@ -591,7 +622,7 @@ class TestQuadrature:
 
 
 class TestDirectConstruction:
-    def test_closed_form_dataclass_is_frozen(self):
+    def test_closed_form_is_frozen(self):
         cf = closed_form("sin", 2)
         with pytest.raises(AttributeError):
             cf.n = 3
@@ -602,5 +633,7 @@ class TestDirectConstruction:
         assert check_antiderivative(cf)
 
     def test_closed_form_is_one_rate_and_one_part(self):
-        assert [(f.name, f.type) for f in fields(ClosedForm)] == [
-            ("kind", "str"), ("n", "int"), ("rate", "GaussianRational"), ("part", "Poly")]
+        assert ClosedForm.__slots__ == ("kind", "n", "rate", "part")
+        for cf in (closed_form("sin", 3), closed_form("cos", 0), closed_form("exp", 2, Fraction(-5, 3))):
+            assert [type(getattr(cf, name)).__name__ for name in ClosedForm.__slots__] == [
+                "str", "int", "GaussianRational", "Poly"]

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from scepoly.genfunc import FormalSeries, series_E, series_Em
+from scepoly.genfunc import E_SPEC, FormalSeries, em_spec, rho_linear, series_E, series_Em
+from scepoly.integrals import QuadResult, closed_form
 from scepoly.poly import ExpPoly, LaurentPoly, Poly, _eval_numerators, _normalise
 from scepoly.rational import GaussianRational, I, as_gaussian
+from scepoly.report import CheckEntry, CheckReport
 
 X = Poly.x()
 
@@ -133,6 +135,17 @@ class TestLaurentPoly:
 
     def test_merging_cancels(self):
         assert (LaurentPoly({2: 1}) + LaurentPoly({2: -1})).is_zero()
+
+    def test_products_take_scalars_only(self):
+        p = LaurentPoly({-1: 2, 1: I})
+        assert p * 3 == 3 * p == LaurentPoly({-1: 6, 1: 3 * I})
+        assert p * Fraction(1, 2) == LaurentPoly({-1: 1, 1: I / 2})
+        assert I * p == LaurentPoly({-1: 2 * I, 1: -1})
+        for foreign in (1.5, "1", None, X, series_E(3), ExpPoly.of(1, X)):
+            assert p.__mul__(foreign) is NotImplemented
+            assert p.__rmul__(foreign) is NotImplemented
+        with pytest.raises(TypeError, match="unsupported operand"):
+            LaurentPoly({0: 1}) * series_E(3)
 
 
 class TestExpPoly:
@@ -557,7 +570,44 @@ IMMUTABLE_VALUES = [
     LaurentPoly({-3: Fraction(2, 7), 0: 1, 2: I}),
     ExpPoly([(I, Poly([1, 2])), (-1, Poly.constant(3)), (0, X)]),
     series_Em(Fraction(-5, 3), 5),
+    closed_form("exp", 1, Fraction(-5, 3)),
+    QuadResult(0.5, 2.5e-15, 15),
+    CheckEntry("x", True),
+    CheckReport.of([("a", 1), ("b", 0)]),
+    em_spec(Fraction(7, 2)),
+    rho_linear(E_SPEC, 2),
 ]
+
+# Each record, another of its type that differs in one field, and its repr: the class name and each field=value.
+RECORDS = [
+    (closed_form("sin", 1), closed_form("sin", 2),
+     "ClosedForm(kind='sin', n=1, rate=GaussianRational(0, 1), part=Poly((0-1i) + -1*x^1))"),
+    (closed_form("exp", 1, Fraction(-5, 3)), closed_form("exp", 1, Fraction(5, 3)),
+     "ClosedForm(kind='exp', n=1, rate=GaussianRational(-5/3), part=Poly(-9/25 + -3/5*x^1))"),
+    (QuadResult(0.5, 2.5e-15, 15), QuadResult(0.5, 2.5e-15, 30),
+     "QuadResult(value=0.5, est_error=2.5e-15, evaluations=15)"),
+    (CheckEntry("x", True), CheckEntry("x", False), "CheckEntry(label='x', passed=True)"),
+    (CheckReport.of([("a", 1), ("b", 0)]), CheckReport.of([("a", 1)]),
+     "CheckReport(entries=(CheckEntry(label='a', passed=True), CheckEntry(label='b', passed=False)))"),
+    (em_spec(Fraction(7, 2)), em_spec(Fraction(-7, 2)),
+     "LinearHGSpec(alpha=Fraction(1, 1), beta=Fraction(0, 1), gamma=Fraction(7, 2), delta0=Fraction(0, 1), "
+     "delta1=Fraction(-1, 1))"),
+    (rho_linear(E_SPEC, 2), rho_linear(E_SPEC, 3),
+     "WeightForm(alpha=Fraction(1, 1), beta=Fraction(0, 1), exponent=Fraction(-3, 1), rate=Fraction(1, 1))"),
+]
+
+
+@pytest.mark.parametrize("value,other,text", RECORDS, ids=[type(value).__name__ for value, _, _ in RECORDS])
+def test_records_compare_hash_and_print_by_their_fields(value, other, text):
+    fields = tuple(getattr(value, name) for name in type(value).__slots__)
+    twin = type(value)(*fields)
+    assert twin is not value and twin == value and hash(twin) == hash(value) and not twin != value
+    assert other != value and not other == value
+    assert value.__eq__(fields) is NotImplemented and value != fields
+    assert repr(value) == text
+    for wrong in (fields[:-1], fields + fields[-1:]):
+        with pytest.raises((TypeError, ValueError)):  # the generic field loop raises ValueError
+            type(value)(*wrong)
 
 
 @pytest.mark.parametrize("value", IMMUTABLE_VALUES, ids=lambda v: type(v).__name__)
@@ -571,6 +621,8 @@ def test_immutable_values_copy_and_pickle(value, round_trip):
         assert list(other.terms) == list(value.terms)
     if isinstance(value, FormalSeries):
         assert other.coeffs == value.coeffs
+    if type(value).__hash__ is not None:
+        assert hash(other) == hash(value)
 
 
 @pytest.mark.parametrize("value", IMMUTABLE_VALUES, ids=lambda v: type(v).__name__)
