@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial, lcm
 
-from .poly import Poly, _im
+from .poly import _SCALARS, Poly, _im
 from .rational import I, _Immutable, _Record, as_rate, as_rational
 from .report import CheckReport
 
@@ -101,6 +101,8 @@ class FormalSeries(_Immutable):
 
     def __mul__(self, other):
         if not isinstance(other, FormalSeries):
+            if not isinstance(other, (Poly, *_SCALARS)):
+                return NotImplemented
             return FormalSeries(c * other for c in self.coeffs)
         self._check_order(other)
         a_den, a = _terms(self.coeffs)

@@ -368,9 +368,9 @@ def quad_adaptive(
         QuadResult with the value, the summed error estimate and the number of
         integrand evaluations (15 per panel).
     """
-    if a > b:
-        raise ValueError("quad_adaptive requires a <= b")
-    if tol <= 0:
+    if not a <= b:  # a NaN bound compares false too
+        raise ValueError(f"quad_adaptive requires a <= b, got a={a}, b={b}")
+    if not tol > 0:
         raise ValueError("tol must be positive")
     if a == b:
         return QuadResult(0.0, 0.0, 0)

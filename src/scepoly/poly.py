@@ -5,12 +5,13 @@
 x^lo * sum_k (re[k] + i*im[k]) x^k / den, integer numerators over one
 positive denominator.  The form is canonical (``_normalise``), so equality
 is tuple equality, and arithmetic, derivatives, ``scale_arg`` and ``eval``
-are passes over Python ints by kernels the two classes share.
-``GaussianRational`` appears only at the edges: scalars and rates in,
-``coeffs``, ``coeff`` and ``eval`` out.  A ``Poly`` has lo >= 0; a
-``LaurentPoly`` may go below.  It is only the iterate of the Rodrigues
-derivative of x^(-1)*e^(rx) (``families.rodrigues_sweep``), which yields
-each iterate's numerators, shifted to x^(n+1)*p, as a ``Poly``.
+are passes over Python ints.  ``GaussianRational`` appears only at the
+edges: scalars and rates in, ``coeffs``, ``coeff`` and ``eval`` out.  A
+``Poly`` has lo >= 0; a ``LaurentPoly`` may go below.  It is only the
+iterate of the Rodrigues derivative of x^(-1)*e^(rx) in
+``families.rodrigues_sweep``, and its ``+ - *``, ``derivative`` and ``==``
+are ``Poly``'s: each builds its result in its operand's class and takes
+only a scalar or a value of that class, so the two classes never mix.
 
 ``ExpPoly`` is a finite sum of terms p_k(x)*e^(mu_k x) with ``Poly`` parts
 and pairwise distinct Gaussian-rational rates mu_k, closed under
@@ -47,7 +48,10 @@ class _Numerators(_Immutable):
         return not self.re
 
     def __hash__(self):
-        return hash((self.lo, self.re, self.im, self.den))
+        """A constant equals its scalar, so it hashes as that scalar."""
+        if self.lo or len(self.re) > 1:
+            return hash((self.lo, self.re, self.im, self.den))
+        return hash(_gaussians(self)[0] if self.re else ZERO)
 
 
 class Poly(_Numerators):
@@ -114,32 +118,33 @@ class Poly(_Numerators):
         parts, sign = ((self.re, 1), (self.im, 1), (self.re, -1), (self.im, -1))[n % 4]
         return _make(Poly, self.lo, [sign * c for c in parts], (), self.den)
 
-    # -- ring arithmetic --------------------------------------------------
+    # -- ring arithmetic: generic over the class, so LaurentPoly binds it too --
 
     def __add__(self, other):
-        other = _as_poly(other)
-        return NotImplemented if other is NotImplemented else _make(Poly, *_add(self, other))
+        other = _operand(self, other)
+        return NotImplemented if other is NotImplemented else _make(type(self), *_add(self, other))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _raw(Poly, *_neg(self))
+        return _raw(type(self), *_neg(self))
 
     def __sub__(self, other):
-        other = _as_poly(other)
-        return NotImplemented if other is NotImplemented else _make(Poly, *_add(self, other, -1))
+        other = _operand(self, other)
+        return NotImplemented if other is NotImplemented else _make(type(self), *_add(self, other, -1))
 
     def __rsub__(self, other):
-        other = _as_poly(other)
-        return NotImplemented if other is NotImplemented else _make(Poly, *_add(other, self, -1))
+        other = _operand(self, other)
+        return NotImplemented if other is NotImplemented else _make(type(self), *_add(other, self, -1))
 
     def __mul__(self, other):
-        if not isinstance(other, Poly):
-            return _make(Poly, *_scale(self, *_int_parts(other))) if isinstance(other, _SCALARS) else NotImplemented
+        cls = type(self)
+        if not isinstance(other, cls):
+            return _make(cls, *_scale(self, *_int_parts(other))) if isinstance(other, _SCALARS) else NotImplemented
         size = len(self.re) + len(other.re) - 1
         re, im = [0] * size, [0] * size if self.im or other.im else []
         _mul_into(re, im, self, other)
-        return _make(Poly, self.lo + other.lo, re, im, self.den * other.den)
+        return _make(cls, self.lo + other.lo, re, im, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -163,7 +168,7 @@ class Poly(_Numerators):
 
     def derivative(self, rate=0) -> "Poly":
         """p' + rate*p, i.e. e^(-rate x) d/dx [p(x) e^(rate x)]; plain p' by default."""
-        return _make(Poly, *_derivative(self, *_int_parts(rate)))
+        return _make(type(self), *_derivative(self, *_int_parts(rate)))
 
     def eval(self, z) -> GaussianRational:
         """Exact value at z, from the numerators of ``_eval_numerators``."""
@@ -196,13 +201,11 @@ class Poly(_Numerators):
     # -- comparison / display ----------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, Poly) and (other := _as_poly(other)) is NotImplemented:
+        if not isinstance(other, type(self)) and (other := _operand(self, other)) is NotImplemented:
             return NotImplemented
         return (self.lo, self.re, self.im, self.den) == (other.lo, other.re, other.im, other.den)
 
-    def __hash__(self):
-        """A constant equals its scalar, so it hashes as that scalar."""
-        return hash(self.coeff(0)) if self.degree <= 0 else _Numerators.__hash__(self)
+    __hash__ = _Numerators.__hash__
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -211,11 +214,15 @@ class Poly(_Numerators):
         return "Poly(" + " + ".join(parts) + ")"
 
 
-def _as_poly(value):
-    """value as a Poly, or NotImplemented for a non-scalar: FormalSeries and ExpPoly then reflect the operator."""
-    if isinstance(value, Poly):
+def _operand(p, value):
+    """value as a value of p's class: as is, or a scalar as a constant; NotImplemented for anything else,
+    so that FormalSeries and ExpPoly reflect the operator and the two layout classes never mix."""
+    if isinstance(value, type(p)):
         return value
-    return Poly.constant(value) if isinstance(value, _SCALARS) else NotImplemented
+    if not isinstance(value, _SCALARS):
+        return NotImplemented
+    a, b, q = _int_parts(value)
+    return _make(type(p), 0, (a,), (b,), q)
 
 
 def _scalar_repr(c: GaussianRational) -> str:
@@ -376,29 +383,10 @@ class LaurentPoly(_Numerators):
         """The nonzero terms as an ascending map exponent -> coefficient."""
         return {self.lo + k: c for k, c in enumerate(_gaussians(self)) if c}
 
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return _make(LaurentPoly, *_add(self, other))
-
-    def __neg__(self) -> "LaurentPoly":
-        return _raw(LaurentPoly, *_neg(self))
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return _make(LaurentPoly, *_add(self, other, -1))
-
-    def __mul__(self, scalar):
-        return _make(LaurentPoly, *_scale(self, *_int_parts(scalar))) if isinstance(scalar, _SCALARS) else NotImplemented
-
-    __rmul__ = __mul__
-
-    def derivative(self) -> "LaurentPoly":
-        return _make(LaurentPoly, *_derivative(self, 0, 0, 1))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return (self.lo, self.re, self.im, self.den) == (other.lo, other.re, other.im, other.den)
-
-    __hash__ = _Numerators.__hash__
+    __add__ = __radd__ = Poly.__add__
+    __sub__, __rsub__, __neg__ = Poly.__sub__, Poly.__rsub__, Poly.__neg__
+    __mul__ = __rmul__ = Poly.__mul__
+    derivative, __eq__, __hash__ = Poly.derivative, Poly.__eq__, Poly.__hash__
 
     def __repr__(self) -> str:
         if not self.re:
@@ -447,8 +435,10 @@ class ExpPoly(_Immutable):
     def __sub__(self, other: "ExpPoly") -> "ExpPoly":
         return self + (-other) if isinstance(other, ExpPoly) else NotImplemented
 
-    def __mul__(self, scalar) -> "ExpPoly":
-        return ExpPoly({r: p * scalar for r, p in self.terms.items()})
+    def __mul__(self, factor) -> "ExpPoly":
+        if not isinstance(factor, (Poly, *_SCALARS)):
+            return NotImplemented
+        return ExpPoly({r: p * factor for r, p in self.terms.items()})
 
     __rmul__ = __mul__
 

@@ -23,7 +23,7 @@ from scepoly.genfunc import (
     series_exp_xt,
     sigma_linear,
 )
-from scepoly.poly import ExpPoly, Poly
+from scepoly.poly import ExpPoly, LaurentPoly, Poly
 from scepoly.rational import GaussianRational, I
 
 X = Poly.x()
@@ -132,6 +132,20 @@ class TestSeriesArithmetic:
             f + X
         with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for -: 'int' and 'FormalSeries'"):
             1 - f
+
+    def test_products_take_series_polys_and_scalars_only(self):
+        f = series_E(3)
+        for foreign in (1.5, "x", None, LaurentPoly({0: 1}), ExpPoly.of(1, X)):
+            assert f.__mul__(foreign) is NotImplemented and f.__rmul__(foreign) is NotImplemented
+        with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for \*: 'FormalSeries' and 'float'"):
+            f * 1.5
+        with pytest.raises(TypeError, match="FormalSeries"):
+            f * "x"
+        with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for \*: 'LaurentPoly' and 'FormalSeries'"):
+            LaurentPoly({0: 1}) * f
+        for factor in (3, Fraction(-1, 2), I, X + 1):
+            expected = FormalSeries(c * factor for c in f.coeffs)
+            assert f * factor == factor * f == expected
 
 
 class TestExpXtSeries:

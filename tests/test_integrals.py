@@ -564,6 +564,15 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             integrand_function("sinh", 1)
 
+    @pytest.mark.parametrize("a, b", [(math.nan, 1.0), (0.0, math.nan), (math.nan, math.nan)])
+    def test_nan_bound_is_refused(self, a, b):
+        with pytest.raises(ValueError, match="quad_adaptive requires a <= b"):
+            quad_adaptive("sin", 1, 1, a, b)
+
+    def test_nan_tolerance_is_refused(self):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            quad_adaptive("sin", 1, 1, 0.0, 1.0, tol=math.nan)
+
     def test_rate_too_large_for_a_double(self):
         with pytest.raises(ValueError, match="quadrature failed"):
             quad_adaptive("exp", 1, Fraction(10**400), -1.0, -0.5)

@@ -15,6 +15,8 @@ from scepoly.rational import GaussianRational, I, as_gaussian
 from scepoly.report import CheckEntry, CheckReport
 
 X = Poly.x()
+LAURENT_BINDINGS = ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__", "__rmul__", "derivative",
+                    "__eq__")
 
 small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=6)
 small_gaussians = st.builds(GaussianRational, small_rationals, small_rationals)
@@ -136,7 +138,7 @@ class TestLaurentPoly:
     def test_merging_cancels(self):
         assert (LaurentPoly({2: 1}) + LaurentPoly({2: -1})).is_zero()
 
-    def test_products_take_scalars_only(self):
+    def test_scalar_products_refuse_foreign_operands(self):
         p = LaurentPoly({-1: 2, 1: I})
         assert p * 3 == 3 * p == LaurentPoly({-1: 6, 1: 3 * I})
         assert p * Fraction(1, 2) == LaurentPoly({-1: 1, 1: I / 2})
@@ -146,6 +148,51 @@ class TestLaurentPoly:
             assert p.__rmul__(foreign) is NotImplemented
         with pytest.raises(TypeError, match="unsupported operand"):
             LaurentPoly({0: 1}) * series_E(3)
+
+    @pytest.mark.parametrize("name", LAURENT_BINDINGS)
+    def test_operators_are_polys(self, name):
+        assert LaurentPoly.__dict__[name] is Poly.__dict__[name]
+
+    def test_class_keeps_no_operator_body(self):
+        metadata = {"__module__", "__qualname__", "__doc__", "__firstlineno__", "__static_attributes__"}
+        own = set(LaurentPoly.__dict__) - metadata
+        assert own == {"__slots__", "__new__", "terms", "__repr__", "__hash__", *LAURENT_BINDINGS}
+
+    @pytest.mark.parametrize("c", [3, Fraction(-2, 5), GaussianRational(Fraction(1, 2), -1)], ids=repr)
+    def test_scalar_operands(self, c):
+        p, k = LaurentPoly({-2: 1, 1: I}), LaurentPoly({0: c})
+        assert p + c == c + p == p + k
+        assert p - c == p - k and c - p == k - p
+        assert p * c == c * p == p * k
+        assert k == c and c == k and p != c
+        assert k.derivative(c) == LaurentPoly({0: c * c})
+
+    def test_foreign_operands_get_not_implemented(self):
+        p = LaurentPoly({-1: 2, 1: I})
+        for foreign in (1.5, "1", None, X, series_E(3), ExpPoly.of(1, X)):
+            for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__", "__eq__"):
+                assert getattr(p, name)(foreign) is NotImplemented, name
+            for op in (operator.add, operator.sub, operator.mul):
+                for left, right in ((p, foreign), (foreign, p)):
+                    with pytest.raises(TypeError):
+                        op(left, right)
+            assert (p == foreign) is False and (foreign == p) is False
+        with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for \+: 'LaurentPoly' and 'Poly'"):
+            p + X
+        with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for -: 'Poly' and 'LaurentPoly'"):
+            X - p
+        with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for \*: 'LaurentPoly' and 'FormalSeries'"):
+            p * series_E(3)
+
+    def test_constant_equals_and_hashes_as_its_scalar(self):
+        for c in (3, Fraction(1, 2), GaussianRational(1, -2), 0):
+            k = LaurentPoly({0: c})
+            assert k == c and hash(k) == hash(c) == hash(Poly.constant(c)) and c in {k} and k in {c}
+        assert LaurentPoly({-1: 3}) != 3 and LaurentPoly({1: 3}) != 3
+
+    def test_derivative_takes_a_rate(self):
+        assert LaurentPoly({-1: 1}).derivative(2) == LaurentPoly({-2: -1, -1: 2})
+        assert LaurentPoly({-1: 1}).derivative(I) == LaurentPoly({-2: -1, -1: I})
 
 
 class TestExpPoly:
@@ -187,6 +234,26 @@ class TestExpPoly:
         with pytest.raises(TypeError, match=r"unsupported operand type\(s\) for -: 'Poly' and 'ExpPoly'"):
             X - f
         assert f + ExpPoly.of(2, X) - ExpPoly.of(2, X) == f
+
+    def test_products_take_polys_and_scalars_only(self):
+        f = ExpPoly.of(1, X)
+        for foreign in (1.5, "x", None, LaurentPoly({0: 1}), series_E(2)):
+            assert f.__mul__(foreign) is NotImplemented and f.__rmul__(foreign) is NotImplemented
+            for left, right in ((f, foreign), (foreign, f)):
+                with pytest.raises(TypeError):
+                    left * right
+        for left, right, names in ((f, 1.5, "'ExpPoly' and 'float'"), (1.5, f, "'float' and 'ExpPoly'"),
+                                   (f, series_E(2), "'ExpPoly' and 'FormalSeries'"),
+                                   (series_E(2), f, "'FormalSeries' and 'ExpPoly'")):
+            with pytest.raises(TypeError, match=rf"unsupported operand type\(s\) for \*: {names}"):
+                left * right
+        assert f * 3 == 3 * f == ExpPoly.of(1, 3 * X) and f * I == ExpPoly.of(1, I * X)
+
+    def test_poly_times_exppoly_reaches_the_reflected_operator(self, monkeypatch):
+        f, seen, rmul = ExpPoly.of(1, X + 1), [], ExpPoly.__rmul__
+        monkeypatch.setattr(ExpPoly, "__rmul__", lambda self, other: seen.append(other) or rmul(self, other))
+        assert X * f == f * X == ExpPoly.of(1, X * X + X)
+        assert seen == [X]
 
     def test_distinct_rates_merge_on_construction(self):
         f = ExpPoly([(1, Poly.constant(1)), (1, Poly.constant(2))])
@@ -241,6 +308,17 @@ def _ref_shift(p, k):
     return tuple({e + k: c for e, c in d.items()} for d in p)
 
 
+def _ref_mul(p, q):
+    """The product by dict convolution, over pairs of terms."""
+    (pr, pi), (qr, qi) = p, q
+    re, im = {}, {}
+    for e, (a, b) in {e: (pr.get(e, 0), pi.get(e, 0)) for e in pr.keys() | pi.keys()}.items():
+        for f, (c, d) in {f: (qr.get(f, 0), qi.get(f, 0)) for f in qr.keys() | qi.keys()}.items():
+            re[e + f] = re.get(e + f, 0) + a * c - b * d
+            im[e + f] = im.get(e + f, 0) + a * d + b * c
+    return _clean(re), _clean(im)
+
+
 def _ref_derivative(p):
     return tuple(_clean({e - 1: e * c for e, c in d.items()}) for d in p)
 
@@ -258,6 +336,10 @@ class TestIntegerLayerAgainstReference:
         assert _agrees(_from_ref(p) + _from_ref(q), _ref_add(p, q))
         assert _agrees(_from_ref(p) - _from_ref(q), _ref_add(p, _ref_scale(q, (-1, 0))))
         assert _agrees(-_from_ref(p), _ref_scale(p, (-1, 0)))
+
+    @given(p=ref_laurents, q=ref_laurents)
+    def test_mul(self, p, q):
+        assert _agrees(_from_ref(p) * _from_ref(q), _ref_mul(p, q))
 
     @given(p=ref_laurents, c=st.tuples(small_rationals, small_rationals))
     def test_scalar_mul(self, p, c):

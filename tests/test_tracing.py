@@ -5,11 +5,17 @@ removed or inherited member breaks ``bench/run.py --trace 1``.  This runs the
 tracer, unchanged, in a fresh interpreter over one request of each verb.
 """
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from scepoly import poly
+from scepoly.genfunc import FormalSeries
+from scepoly.rational import GaussianRational
+from scepoly.report import CheckReport
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -49,3 +55,16 @@ def test_tracer_installs_and_times_every_layer():
     metrics = result["metrics"]
     for key in ("families.rodrigues", "poly.exppoly", "integrals.check"):
         assert metrics[f"{key}.time_s"] > 0, key
+
+
+def test_every_traced_member_is_in_its_own_class_dict():
+    """The tracer reads each member from ``cls.__dict__``: name any that moved out or went away."""
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    members = [(GaussianRational, name) for name in tracing.RATIONAL_METHODS]
+    members += [(getattr(poly, cls), name) for cls, name, _ in tracing.POLY_METHODS]
+    members += [(FormalSeries, name) for name, _ in tracing.SERIES_METHODS]
+    members += [(CheckReport, name) for name in tracing.REPORT_MEMBERS]
+    missing = [f"{cls.__name__}.{name}" for cls, name in members if name not in cls.__dict__]
+    assert not missing, f"bench/tracing.py wraps members missing from their class's own __dict__: {missing}"
