@@ -77,8 +77,8 @@ def _join_signed(pieces: list[str]) -> str:
 def _parts(p: Poly) -> list[tuple[int, int, int, int]]:
     """(re_num, re_den, im_num, im_den) in lowest terms for x^0 .. x^degree, read once from p's numerators."""
     out, den = [(0, 1, 0, 1)] * p.lo, p.den
-    if not p.im:
-        return out + [(r // g, den // g, 0, 1) for r in p.re for g in (gcd(r, den) if den != 1 else 1,)]
+    if not p.im:  # a zero numerator, half of each s and c row, needs no gcd
+        return out + [(r // (g := gcd(r, den)), den // g, 0, 1) if r else (0, 1, 0, 1) for r in p.re]
     for r, i in zip(p.re, p.im):
         g, h = gcd(r, den), gcd(i, den)
         out.append((r // g, den // g, i // h, den // h))

@@ -23,9 +23,10 @@ expands it; for the e_n equation it reproduces E above, exactly.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, lcm
+from itertools import accumulate
+from math import factorial, gcd, lcm
 
-from .poly import _SCALARS, Poly, _im
+from .poly import _SCALARS, Poly, _im, _raw
 from .rational import I, _Immutable, _Record, as_rate, as_rational
 from .report import CheckReport
 
@@ -54,9 +55,10 @@ class FormalSeries(_Immutable):
 
     Arithmetic never consults coefficients beyond the truncation order, and
     mixing different orders is an error rather than a silent re-truncation.
-    A product flattens each factor once into its nonzero integer terms over
-    the factor's common denominator, and multiply-adds each pair of terms
-    whose t-powers fit the order straight into the product's rows.
+    A product accumulates row n over A_n*B_n, A_n and B_n being the lcms of
+    each factor's row denominators up to t^n (so row n of E is over n!, not
+    order!), multiply-adding the lifted terms of each pair of rows whose
+    t-powers fit the order into a row as wide as the degrees that reach it.
     """
 
     __slots__ = ("coeffs",)
@@ -105,21 +107,28 @@ class FormalSeries(_Immutable):
                 return NotImplemented
             return FormalSeries(c * other for c in self.coeffs)
         self._check_order(other)
-        a_den, a = _terms(self.coeffs)
-        b_den, b = _terms(other.coeffs)
-        order = self.order
-        width = max(c.degree for c in self.coeffs) + max(c.degree for c in other.coeffs) + 1
-        re, im = [[0] * width for _ in self.coeffs], [[0] * width for _ in self.coeffs]
-        for i, d, ar, ai in a:
-            for j, e, br, bi in b:  # ascending in t, so the first j past the order ends the row
-                if i + j > order:
-                    break
-                if ai or bi:
-                    re[i + j][d + e] += ar * br - ai * bi
-                    im[i + j][d + e] += ar * bi + ai * br
-                else:
-                    re[i + j][d + e] += ar * br
-        return FormalSeries(Poly.from_numerators(r, i, a_den * b_den) for r, i in zip(re, im))
+        a, a_dens, a_degs = _rows(self.coeffs)
+        b, b_dens, b_degs = _rows(other.coeffs)
+        steps = [y // x for x, y in zip(a_dens, a_dens[1:])] + [1]  # A_(n+1)/A_n
+        re = [[0] * (d + e + 1) for d, e in zip(a_degs, b_degs)]
+        im = [[0] * len(r) for r in re] if any(c.im for c in (*self.coeffs, *other.coeffs)) else [()] * len(re)
+        for i, (da, a_terms) in enumerate(a):
+            if not a_terms:
+                continue
+            a_lift = a_dens[i] // da  # A_n/da_i, one step further for each n
+            for n, (db, b_terms), step in zip(range(i, len(re)), b, steps[i:]):  # b's row n - i
+                if b_terms:
+                    lift, row_re, row_im = a_lift * (b_dens[n] // db), re[n], im[n]
+                    for d, ar, ai in a_terms:
+                        ar, ai = ar * lift, ai * lift
+                        for e, br, bi in b_terms:
+                            if ai or bi:
+                                row_re[d + e] += ar * br - ai * bi
+                                row_im[d + e] += ar * bi + ai * br
+                            else:
+                                row_re[d + e] += ar * br
+                a_lift *= step
+        return FormalSeries(map(Poly.from_numerators, re, im, map(int.__mul__, a_dens, b_dens)))
 
     __rmul__ = __mul__
 
@@ -136,15 +145,11 @@ class FormalSeries(_Immutable):
         return f"FormalSeries(order={self.order})"
 
 
-def _terms(coeffs) -> tuple[int, list]:
-    """(den, terms): den is the lcm of the coefficients' denominators, and terms the
-    (t-power, x-power, re, im) of each nonzero numerator over den, ascending in t."""
-    den = lcm(*(c.den for c in coeffs))
-    terms = []
-    for i, c in enumerate(coeffs):
-        f = den // c.den
-        terms += [(i, k, r * f, s * f) for k, (r, s) in enumerate(zip(c.re, _im(c)), c.lo) if r or s]
-    return den, terms
+def _rows(coeffs) -> tuple[list, list, list]:
+    """(rows, dens, degs): rows[n] is (den, [(x-power, re, im), ...]), t^n's nonzero numerators over its
+    own den; dens[n] and degs[n] are the lcm of the denominators and the top degree of t^0 .. t^n."""
+    rows = [(c.den, [(k, r, s) for k, (r, s) in enumerate(zip(c.re, _im(c)), c.lo) if r or s]) for c in coeffs]
+    return rows, list(accumulate((c.den for c in coeffs), lcm)), list(accumulate((c.degree for c in coeffs), max))
 
 
 # ---------------------------------------------------------------------------
@@ -152,16 +157,21 @@ def _terms(coeffs) -> tuple[int, list]:
 # ---------------------------------------------------------------------------
 
 def series_exp_xt(scale, order: int) -> FormalSeries:
-    """exp(scale * x * t): coefficient of t^k is (scale*x)^k / k!."""
+    """exp(scale * x * t): coefficient of t^k is (scale*x)^k / k!, built as p^k over q^k * k!."""
     p, q = as_rational(scale).as_integer_ratio()
-    return FormalSeries(Poly.monomial(k, Fraction(p**k, q**k * factorial(k))) for k in range(order + 1))
+    coeffs, num, den, zero = [], 1, 1, Poly.zero()
+    for k in range(order + 1):
+        g = gcd(num, den)
+        coeffs.append(_raw(Poly, k, (num // g,), (), den // g) if num else zero)
+        num, den = num * p, den * q * (k + 1)
+    return FormalSeries(coeffs)
 
 
 def _inv_one_plus_t_power(k: int, order: int) -> FormalSeries:
     """1/(1+t^k) = sum (-1)^j t^(kj)."""
-    return FormalSeries(
-        Poly.constant((-1) ** (i // k)) if i % k == 0 else Poly.zero() for i in range(order + 1)
-    )
+    one, zero = Poly.one(), Poly.zero()
+    signs = (one, -one)
+    return FormalSeries(signs[i // k % 2] if i % k == 0 else zero for i in range(order + 1))
 
 
 def series_Em(m, order: int) -> FormalSeries:

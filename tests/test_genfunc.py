@@ -68,6 +68,11 @@ _MIXED = ([[(0, -2), (0, 0), (1, 0)], [], [(0, 0), (Fraction(1, 2), 1)]],
           [[], [(0, 0), (1, 0)], [(3, 0), (0, 0), (1, 0)]])
 
 
+def _exp_rows(scale, order):
+    """exp(scale*x*t) as rows: its t^k row is scale^k/k! at x^k, so unlike scales give unlike row denominators."""
+    return [[(0, 0)] * k + [(scale**k / factorial(k), 0)] for k in range(order + 1)]
+
+
 class TestSeriesArithmetic:
     def test_geometric_inverse(self):
         n = 12
@@ -96,6 +101,7 @@ class TestSeriesArithmetic:
     @given(rows=_row_pairs(), k=st.integers(-3, 3), p=_rows)
     @example(rows=_MIXED, k=2, p=[(0, 1), (0, 0), (Fraction(-1, 3), 0)])
     @example(rows=([[(1, 1)]], [[(0, 0), (2, -1)]]), k=0, p=[])
+    @example(rows=(_exp_rows(Fraction(1, 2), 4), _exp_rows(Fraction(-2, 3), 4)), k=-3, p=[(Fraction(1, 3), 0)])
     def test_product_matches_dense_convolution(self, rows, k, p):
         a_rows, b_rows = rows
         f, g = _series(a_rows), _series(b_rows)
@@ -161,6 +167,24 @@ class TestExpXtSeries:
 
     def test_scale_three(self):
         assert series_exp_xt(3, 2).coeff(2) == X**2 * Fraction(9, 2)
+
+    @given(scale=st.fractions(min_value=-5, max_value=5, max_denominator=7), order=st.integers(0, 12))
+    @example(scale=Fraction(0), order=4)
+    @example(scale=Fraction(-3), order=6)
+    @example(scale=Fraction(-5, 3), order=8)
+    def test_coefficients_are_scaled_monomials(self, scale, order):
+        p, q = scale.as_integer_ratio()
+        expected = FormalSeries(Poly.monomial(k, Fraction(p**k, q**k * factorial(k))) for k in range(order + 1))
+        assert series_exp_xt(scale, order) == expected
+
+    @given(a=st.fractions(min_value=-4, max_value=4, max_denominator=6),
+           b=st.fractions(min_value=-4, max_value=4, max_denominator=6), order=st.integers(0, 10))
+    @example(a=Fraction(1, 2), b=Fraction(-2, 3), order=12)
+    @example(a=Fraction(5, 4), b=Fraction(-5, 4), order=6)
+    def test_product_adds_scales(self, a, b, order):
+        """exp(a*x*t) * exp(b*x*t) = exp((a+b)*x*t) exactly; unlike a and b give each factor its own
+        growing row denominators."""
+        assert series_exp_xt(a, order) * series_exp_xt(b, order) == series_exp_xt(a + b, order)
 
 
 class TestGeneratingFunctions:
