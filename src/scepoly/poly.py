@@ -149,12 +149,8 @@ class Poly(_Numerators):
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
-        if not isinstance(scalar, _SCALARS):
-            return NotImplemented
-        a, b, q = _int_parts(scalar)
-        if not (a or b):
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return _make(Poly, *_scale(self, a * q, -b * q, a * a + b * b))  # times q*(a - b*i)/(a^2 + b^2)
+        """p times the reciprocal 1/scalar: a Fraction for a rational, the Gaussian rational's own 1/c otherwise."""
+        return self * (Fraction(1) / scalar) if isinstance(scalar, _SCALARS) else NotImplemented
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -176,13 +172,12 @@ class Poly(_Numerators):
         return GaussianRational(Fraction(re, den), Fraction(im, den))
 
     def eval_float(self, x: float) -> float:
-        """Float Horner evaluation; each coefficient is rounded on its own."""
+        """Correctly rounded value at the finite float x: the exact kernel's two ints, divided once."""
         if self.im:
             raise ValueError("eval_float requires real coefficients")
-        acc = 0.0
-        for r in [*reversed(self.re), *[0] * self.lo]:
-            acc = acc * x + r / self.den
-        return acc
+        a, q = x.as_integer_ratio()
+        re, _, den = _eval_numerators(self, a, 0, q)
+        return re / den
 
     def scale_arg(self, c) -> "Poly":
         """Return q with q(x) = p(c*x): for c = (a + b*i)/q, x^k gets (a + b*i)^k q^(d-k) over den*q^d."""

@@ -621,6 +621,35 @@ class TestEvalAgainstReference:
             X.eval(0.5)
 
 
+class TestEvalFloat:
+    """eval_float is the exact kernel's value at the float, rounded once."""
+
+    @given(coeffs=st.lists(small_rationals, max_size=9), x=st.floats(min_value=-1e6, max_value=1e6))
+    def test_is_the_exact_value_correctly_rounded(self, coeffs, x):
+        p = Poly(coeffs)
+        assert p.eval_float(x) == float(p.eval(Fraction(x)).re)
+
+    def test_cancellation_keeps_every_bit(self):
+        # (x - 1)^8 at 1 + 2^-30 is exactly 2^-240; float Horner steps cancel it to 0.0.
+        assert ((X - 1) ** 8).eval_float(1 + 2**-30) == 2.0**-240
+
+    def test_refuses_gaussian_coefficients(self):
+        with pytest.raises(ValueError, match="real coefficients"):
+            Poly([1, I]).eval_float(0.5)
+
+
+EMIT_RATES = [Fraction(m) for m in ("2", "3", "-1", "-2", "1/2", "3/4", "5/3", "-5/3")]
+
+
+def test_division_by_a_rational_does_no_gaussian_arithmetic(gaussian_arithmetic):
+    """p / c multiplies by the Fraction 1/c, so the exp closed forms, P = e_n^(m) / m^(n+1), build no
+    GaussianRational reciprocal at the emit requests' rates."""
+    for m in EMIT_RATES:
+        for n in range(40):
+            closed_form("exp", n, m)
+    assert gaussian_arithmetic == [], f"{len(gaussian_arithmetic)} calls: {sorted(set(gaussian_arithmetic))}"
+
+
 # (a, b, q) for z = (a + b*i)/q: each float as the definite integral passes it, and one unreduced Gaussian point.
 KERNEL_POINTS = [(p, 0, q) for p, q in map(float.as_integer_ratio, (0.0, -0.0, 3.25, -3.25, 1e300, 5e-324))]
 KERNEL_POINTS.append((-10, 3, 6))

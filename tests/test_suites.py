@@ -1,11 +1,13 @@
 """The verification suites as a library, with no argument parsing."""
 
+import sys
+
 import pytest
 
 from scepoly import cli, families, suites
 from scepoly.genfunc import FormalSeries
 from scepoly.poly import Poly
-from scepoly.rational import I, GaussianRational
+from scepoly.rational import I
 from scepoly.suites import VERIFY_SUITES, run_suite
 
 
@@ -39,28 +41,13 @@ def test_series_suites_at_max_n_64(name, count):
     assert report.all_passed, report.failures
 
 
-GAUSSIAN_ARITHMETIC = (
-    "__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__", "__rmul__",
-    "__truediv__", "__rtruediv__", "__pow__", "conjugate",
-)
-
-
-def test_all_at_max_n_24_does_no_gaussian_arithmetic(monkeypatch):
+def test_all_at_max_n_24_does_no_gaussian_arithmetic(gaussian_arithmetic):
     # The polynomial layers work on integer numerators, and the complex-argument
     # routes read Re(p/i^n) from them, so Gaussian rationals are only rates and
-    # dict keys here; hashing and equality are not arithmetic.
-    calls = []
-    for name in GAUSSIAN_ARITHMETIC:
-        member = getattr(GaussianRational, name)
-
-        def spy(*args, name=name, member=member):
-            calls.append(name)
-            return member(*args)
-
-        monkeypatch.setattr(GaussianRational, name, spy)
+    # dict keys here.
     report = run_suite("all", 24)
     assert report.all_passed, report.failures
-    assert calls == [], f"{len(calls)} calls: {sorted(set(calls))}"
+    assert gaussian_arithmetic == [], f"{len(gaussian_arithmetic)} calls: {sorted(set(gaussian_arithmetic))}"
 
 
 def test_routes_build_e_of_ix_once_per_index(monkeypatch):
@@ -152,3 +139,45 @@ def test_residual_catches_a_wrong_family(monkeypatch, suite, family, ode_label):
     monkeypatch.setattr(families, family, mutant)
     odes = [e.passed for e in run_suite(suite, 8).entries if e.label.startswith(ode_label)]
     assert odes == [True] * (3 * 4) + [False] * (6 * 4)
+
+
+# The kill matrix: each mutant perturbs one family constructor or route from n = 3 on, and some suite must
+# fail for it.  A mutant rebinds every scepoly module attribute that is its target, since integrals binds
+# families names at import.
+CONSTRUCTORS = ("e_explicit", "s_explicit", "c_from_s", "shat", "chat", "em_explicit", "laguerre_general")
+MUTANTS = {
+    **{name: "constructor" for name in (*CONSTRUCTORS, "antideriv_poly_exp", "c_from_e")},
+    **{name: "sweep" for name in ("rodrigues_sweep", "e_recurrence_sweep", "s_rodrigues_sweep")},
+    "series_exp_xt": "series",
+}
+GENFUNC_FAMILIES = ("e_explicit", "s_explicit", "c_from_s", "em_explicit")
+
+
+def _mutant(kind, correct):
+    if kind == "constructor":
+        def mutant(n, *args):
+            p = correct(n, *args)
+            return p + Poly.monomial(n + 1) if n >= 3 else p
+    elif kind == "sweep":
+        def mutant(*args):
+            for n, p in enumerate(correct(*args)):
+                yield p + Poly.monomial(n + 1) if n >= 3 else p
+    else:
+        def mutant(scale, order):
+            coeffs = correct(scale, order).coeffs
+            return FormalSeries(c + Poly.monomial(4) if k == 3 else c for k, c in enumerate(coeffs))
+    return mutant
+
+
+@pytest.mark.parametrize("target", MUTANTS)
+def test_kill_matrix(monkeypatch, target):
+    modules = [module for name, module in sys.modules.items() if name == "scepoly" or name.startswith("scepoly.")]
+    correct = next(getattr(module, target) for module in modules if hasattr(module, target))
+    mutant = _mutant(MUTANTS[target], correct)
+    for module in modules:
+        if getattr(module, target, None) is correct:
+            monkeypatch.setattr(module, target, mutant)
+    killed = {name for name in VERIFY_SUITES if not run_suite(name, 8).all_passed}
+    assert len(killed) >= (2 if target in CONSTRUCTORS else 1), killed
+    if target in GENFUNC_FAMILIES:
+        assert "genfunc" in killed
