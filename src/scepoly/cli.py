@@ -235,9 +235,24 @@ def _check_index(value: int, name: str) -> int:
     return value
 
 
+def _check_rate(m: Fraction | None, n: int, name: str) -> Fraction | None:
+    """Refuse a rate whose digit count, n times over, passes the int-string limit that ``as_rational`` holds
+    the rate itself to (no bound when it is 0): index n's coefficients grow as m^n."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if m is not None and limit:
+        k = max(abs(m.numerator), m.denominator)
+        digits = int((k.bit_length() - 1) * math.log10(2)) + 1  # those of 2^(bits-1): str(k) may be past the limit
+        digits += k >= 10**digits  # k has at most one more
+        if n * digits > limit:
+            raise ValueError(
+                f"{name}={n} times the rate's {digits} digits exceeds the int-string limit of {limit} digits"
+            )
+    return m
+
+
 def cmd_poly(args) -> int:
     n = _check_index(args.n, "n")
-    m = families.family_rate(args.family, args.m)
+    m = _check_rate(families.family_rate(args.family, args.m), n, "n")
     p = families.family_poly(args.family, n, m)
     renderers = {
         "text": render_poly_text, "latex": render_poly_latex, "csv": poly_to_csv,
@@ -249,7 +264,7 @@ def cmd_poly(args) -> int:
 
 def cmd_integrate(args) -> int:
     n = _check_index(args.n, "n")
-    cf = integrals.closed_form(args.kind, n, args.m)  # parses --m after its kind rule
+    cf = integrals.closed_form(args.kind, n, _check_rate(integrals.kind_rate(args.kind, args.m), n, "n"))
     if args.a is None and args.b is None:
         if args.check:
             raise ValueError("--check needs --a and --b")
@@ -288,7 +303,7 @@ def cmd_verify(args) -> int:
 
 def cmd_genfunc(args) -> int:
     order = _check_index(args.order, "order")
-    m = families.family_rate(args.family, args.m)
+    m = _check_rate(families.family_rate(args.family, args.m), order, "order")
     if m is not None:
         series = genfunc.series_Em(m, order)
     else:

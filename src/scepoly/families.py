@@ -36,7 +36,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Iterator
 
-from .poly import LaurentPoly, Poly, _derivative, _int_parts, _make, _raw
+from .poly import Poly, _derivative, _int_parts, _make
 from .rational import I, as_rate, as_rational
 from .report import CheckReport
 
@@ -102,21 +102,18 @@ def e_recurrence(n: int) -> Poly:
 def rodrigues_sweep(rate, n_max: int) -> Iterator[Poly]:
     """x^(n+1) e^(-rate x) d^n/dx^n (x^(-1) e^(rate x)) for n = 0..n_max, each one exact derivative of the one before.
 
-    Each derivative maps p(x) e^(rate x) to (p' + rate*p) e^(rate x), the
-    ``_derivative`` kernel on the part p; the rate goes to integer parts
-    once, not once per step.  The iterate p starts at x^(-1), so it is the
-    package's one ``LaurentPoly``, made canonical once per step; x^(n+1)*p
-    takes the same numerators as a ``Poly``, and a negative exponent left
-    over (an implementation bug) raises ``ValueError``.
+    Each derivative maps f(x) e^(rate x) to (f' + rate*f) e^(rate x), the
+    ``_derivative`` kernel on the part f, with the rate in integer parts
+    once.  The iterate is the yielded y_n = x^(n+1)*f_n, from y_0 = 1: the
+    kernel reads y_n's numerators from f_n's offset y_n.lo - n - 1, and
+    y_(n+1), made canonical once, keeps y_n's lo.  No ``LaurentPoly`` is built.
     """
     a, b, q = _int_parts(rate)
-    part = _raw(LaurentPoly, -1, (1,), (), 1)
+    y = Poly.one()
     for n in range(n_max + 1):
         if n:
-            part = _make(LaurentPoly, *_derivative(part, a, b, q))
-        if part.lo + n + 1 < 0:
-            raise ValueError(f"negative exponents remain: {part!r}")
-        yield _raw(Poly, part.lo + n + 1, part.re, part.im, part.den)
+            y = _make(Poly, y.lo, *_derivative(y, y.lo - n, a, b, q))
+        yield y
 
 
 def e_rodrigues(n: int) -> Poly:

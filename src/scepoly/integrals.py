@@ -32,6 +32,7 @@ from .report import CheckReport
 __all__ = [
     "ClosedForm",
     "QuadResult",
+    "kind_rate",
     "closed_form",
     "check_antiderivative",
     "s_rodrigues",
@@ -65,17 +66,24 @@ def _minus_i(p: Poly, q: Poly) -> Poly:
     return Poly.from_numerators(re, im, den)
 
 
+def kind_rate(kind: str, m) -> Fraction | None:
+    """The rate m, parsed by ``as_rate`` (1 by default), for kind 'exp'; None for sin and cos, which refuse one."""
+    if kind != "exp":
+        if m is not None:
+            raise ValueError("rate m applies only to kind 'exp'")
+        return None
+    return as_rate(1 if m is None else m)
+
+
 def closed_form(kind: str, n: int, m=None) -> ClosedForm:
     """Construct the antiderivative of x^n sin x, x^n cos x or x^n e^(mx)."""
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
     if n < 0:
         raise ValueError("n must be >= 0")
+    m = kind_rate(kind, m)
     if kind == "exp":
-        m = as_rate(1 if m is None else m)
         return ClosedForm(kind, n, as_gaussian(m), antideriv_poly_exp(n, m))
-    if m is not None:
-        raise ValueError("rate m applies only to kind 'exp'")
     if kind == "sin":
         return ClosedForm(kind, n, I, _minus_i(s_explicit(n), shat(n - 1)))
     return ClosedForm(kind, n, I, _minus_i(chat(n - 1), c_from_s(n)))

@@ -7,11 +7,11 @@ positive denominator.  The form is canonical (``_normalise``), so equality
 is tuple equality, and arithmetic, derivatives, ``scale_arg`` and ``eval``
 are passes over Python ints.  ``GaussianRational`` appears only at the
 edges: scalars and rates in, ``coeffs``, ``coeff`` and ``eval`` out.  A
-``Poly`` has lo >= 0; a ``LaurentPoly`` may go below.  It is only the
-iterate of the Rodrigues derivative of x^(-1)*e^(rx) in
-``families.rodrigues_sweep``, and its ``+ - *``, ``derivative`` and ``==``
-are ``Poly``'s: each builds its result in its operand's class and takes
-only a scalar or a value of that class, so the two classes never mix.
+``Poly`` has lo >= 0; a ``LaurentPoly`` may go below.  No route builds one
+and the package does not export it (``families.rodrigues_sweep`` iterates a
+``Poly``, telling ``_derivative`` the offset to read it from); its ``+ - *``,
+``derivative`` and ``==`` are ``Poly``'s: each builds its result in its
+operand's class and takes only a scalar or a value of that class.
 
 ``ExpPoly`` is a finite sum of terms p_k(x)*e^(mu_k x) with ``Poly`` parts
 and pairwise distinct Gaussian-rational rates mu_k, closed under
@@ -32,7 +32,7 @@ from math import gcd, lcm
 
 from .rational import GaussianRational, ZERO, _Immutable, as_gaussian
 
-__all__ = ["Poly", "LaurentPoly", "ExpPoly"]
+__all__ = ["Poly", "ExpPoly"]
 _SCALARS = (int, Fraction, GaussianRational)
 
 
@@ -164,7 +164,7 @@ class Poly(_Numerators):
 
     def derivative(self, rate=0) -> "Poly":
         """p' + rate*p, i.e. e^(-rate x) d/dx [p(x) e^(rate x)]; plain p' by default."""
-        return _make(type(self), *_derivative(self, *_int_parts(rate)))
+        return _make(type(self), self.lo - 1, *_derivative(self, self.lo, *_int_parts(rate)))
 
     def eval(self, z) -> GaussianRational:
         """Exact value at z, from the numerators of ``_eval_numerators``."""
@@ -347,20 +347,21 @@ def _mul_into(re: list, im: list, p, q) -> None:
                     out[j] += a * b
 
 
-def _derivative(p, a: int, b: int, q: int) -> tuple:
-    """p' + r*p = e^(-rx) d/dx [p(x) e^(rx)] for r = (a + b*i)/q: the numerator of
-    x^(lo-1+k) is q*(lo+k)*c_k + (a + b*i)*c_(k-1), over den*q."""
-    lo, re, re_1 = p.lo, p.re + (0,), (0,) + p.re
+def _derivative(p, lo: int, a: int, b: int, q: int) -> tuple:
+    """(re, im, den) of f' + r*f = e^(-rx) d/dx [f(x) e^(rx)] for r = (a + b*i)/q, where f holds p's
+    numerators c_k from the offset lo, f = x^lo * sum c_k x^k / den: the numerator of x^(lo-1+k) is
+    q*(lo+k)*c_k + (a + b*i)*c_(k-1), over den*q."""
+    re, re_1 = p.re + (0,), (0,) + p.re
     if not (b or p.im):
-        return lo - 1, [q * (lo + k) * r + a * r1 for k, (r, r1) in enumerate(zip(re, re_1))], (), p.den * q
+        return [q * (lo + k) * r + a * r1 for k, (r, r1) in enumerate(zip(re, re_1))], (), p.den * q
     im, im_1 = _im(p) + (0,), (0,) + _im(p)
     d_re = [q * (lo + k) * r + a * r1 - b * s1 for k, (r, r1, s1) in enumerate(zip(re, re_1, im_1))]
     d_im = [q * (lo + k) * s + a * s1 + b * r1 for k, (s, r1, s1) in enumerate(zip(im, re_1, im_1))]
-    return lo - 1, d_re, d_im, p.den * q
+    return d_re, d_im, p.den * q
 
 
 class LaurentPoly(_Numerators):
-    """Laurent polynomial over Q(i) in the integer layout, lo of any sign; ``terms`` maps exponents out."""
+    """Laurent polynomial over Q(i) in the integer layout, lo of any sign; not exported, built by no route."""
 
     __slots__ = ()
 

@@ -350,6 +350,76 @@ class TestLongExactOutput:
         assert f"limit of {sys.get_int_max_str_digits()} digits" in err
 
 
+RATE_REQUESTS = {
+    "poly": lambda n, m: ("poly", "em", "--n", str(n), "--m", m),
+    "integrate": lambda n, m: ("integrate", "--kind", "exp", "--n", str(n), "--m", m),
+    "genfunc": lambda n, m: ("genfunc", "--family", "em", "--order", str(n), "--m", m, "--format", "csv"),
+}
+
+
+class TestRateSizeRule:
+    """The index times the rate's digits (those of the larger of |numerator| and denominator) may not pass the
+    int-string limit that ``as_rational`` holds the rate to: at n = 64 and 4,300 digits, 1e66 has 67 digits
+    (4,288) and 1e67 has 68 (4,352)."""
+
+    @pytest.mark.parametrize("verb", RATE_REQUESTS)
+    @pytest.mark.parametrize("sign", ["", "-"])
+    def test_edge_and_one_past_it(self, capsys, verb, sign):
+        limit, n = sys.get_int_max_str_digits(), 64
+        digits = limit // n  # the most the rule accepts
+        name = "order" if verb == "genfunc" else "n"
+        for rate in (f"{sign}1e{digits - 1}", f"{sign}1e-{digits - 1}"):
+            code, _, err = run_cli(capsys, *RATE_REQUESTS[verb](n, rate))
+            assert (code, err) == (0, ""), rate
+        for rate in (f"{sign}1e{digits}", f"{sign}1e-{digits}", f"{sign}1/{10**digits}"):
+            code, out, err = run_cli(capsys, *RATE_REQUESTS[verb](n, rate))
+            message = f"error: {name}={n} times the rate's {digits + 1} digits exceeds the int-string limit of {limit}"
+            assert (code, out, err) == (2, "", f"{message} digits\n"), rate
+
+    @pytest.mark.parametrize("verb", RATE_REQUESTS)
+    def test_index_zero_takes_any_rate(self, capsys, verb):
+        # 12345e4299 has 4,304 digits: more than str() may print under the limit, so the rule counts them otherwise.
+        code, _, err = run_cli(capsys, *RATE_REQUESTS[verb](0, "12345e4299"))
+        assert (code, err) == (0, "")
+        code, _, err = run_cli(capsys, *RATE_REQUESTS[verb](1, "12345e4299"))
+        assert code == 2
+        assert "the rate's 4304 digits" in err
+
+    def test_digit_count_at_powers_of_ten(self):
+        limit = sys.get_int_max_str_digits()
+        assert cli._check_rate(Fraction(-9), limit, "n") == -9  # one digit, limit times over: at the limit
+        for d in [*range(1, 300), *range(limit - 5, limit)]:
+            for k, digits in ((10**d - 1, d), (10**d, d + 1)):
+                if digits > 1:
+                    with pytest.raises(ValueError, match=f"n={limit} times the rate's {digits} digits"):
+                        cli._check_rate(Fraction(1, k), limit, "n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("poly", "em", "--n", "64", "--m", "1e4299"),
+            ("integrate", "--kind", "exp", "--n", "64", "--m", "1e-4299", "--a", "0", "--b", "1"),
+            ("genfunc", "--family", "em", "--order", "64", "--m", "1e400"),
+        ],
+    )
+    def test_refused_before_the_family_is_built(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(cli.families, "em_explicit", lambda *args: pytest.fail("the family was built"))
+        monkeypatch.setattr(cli.genfunc, "series_Em", lambda *args: pytest.fail("the series was built"))
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "exceeds the int-string limit" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("poly", "e", "--n", "64", "--m", "1e67"), "rate m applies only to family 'em'"),
+            (("integrate", "--kind", "sin", "--n", "64", "--m", "1e67"), "rate m applies only to kind 'exp'"),
+        ],
+    )
+    def test_family_and_kind_rules_come_first(self, capsys, argv, message):
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
 class TestExitCodes:
     def test_unknown_family_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "poly", "q", "--n", "2")

@@ -192,18 +192,6 @@ class TestSweeps:
         assert len(list(rodrigues_sweep(rate, 10))) == 11
         assert len(calls) == 10
 
-    def test_rodrigues_sweep_rejects_negative_exponents(self, monkeypatch):
-        # A derivative that lowers the exponent offset one step too far is an implementation bug.
-        derivative = families._derivative
-
-        def too_low(*args):
-            lo, *rest = derivative(*args)
-            return lo - 1, *rest
-
-        monkeypatch.setattr(families, "_derivative", too_low)
-        with pytest.raises(ValueError, match="negative exponents remain"):
-            list(rodrigues_sweep(1, 3))
-
     def test_recurrence_sweep_matches_per_n(self):
         assert list(e_recurrence_sweep(40)) == [e_recurrence(n) for n in range(41)]
 

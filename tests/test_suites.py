@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from scepoly import cli, families, suites
+from scepoly import cli, families, poly, suites
 from scepoly.genfunc import FormalSeries
 from scepoly.poly import Poly
 from scepoly.rational import I
@@ -141,16 +141,24 @@ def test_residual_catches_a_wrong_family(monkeypatch, suite, family, ode_label):
     assert odes == [True] * (3 * 4) + [False] * (6 * 4)
 
 
-# The kill matrix: each mutant perturbs one family constructor or route from n = 3 on, and some suite must
-# fail for it.  A mutant rebinds every scepoly module attribute that is its target, since integrals binds
-# families names at import.
+# The kill matrix: each mutant perturbs one family constructor, route or series from n = 3 on (x^4 at t^3 for
+# a series), or the Rodrigues sweep's kernel, and some suite must fail for it.  A mutant rebinds every scepoly
+# module attribute that is its target, since integrals binds families names at import; a target qualified by
+# its module rebinds that module's name alone.
 CONSTRUCTORS = ("e_explicit", "s_explicit", "c_from_s", "shat", "chat", "em_explicit", "laguerre_general")
 MUTANTS = {
-    **{name: "constructor" for name in (*CONSTRUCTORS, "antideriv_poly_exp", "c_from_e")},
-    **{name: "sweep" for name in ("rodrigues_sweep", "e_recurrence_sweep", "s_rodrigues_sweep")},
-    "series_exp_xt": "series",
+    **{name: ("constructor", name) for name in (*CONSTRUCTORS, "antideriv_poly_exp", "c_from_e")},
+    **{name: ("sweep", name) for name in ("rodrigues_sweep", "e_recurrence_sweep", "s_rodrigues_sweep")},
+    **{name: ("series", name) for name in ("series_exp_xt", "degenerate_genfunc")},
+    # The sweep's kernel reading its numerators from an offset one off; Poly.derivative keeps poly's binding.
+    **{f"rodrigues_kernel(lo{shift:+d})": (shift, "families._derivative") for shift in (1, -1)},
 }
-GENFUNC_FAMILIES = ("e_explicit", "s_explicit", "c_from_s", "em_explicit")
+# A suite that must be among the killers of a row.
+KILLERS = {
+    **{name: "genfunc" for name in ("e_explicit", "s_explicit", "c_from_s", "em_explicit")},
+    "degenerate_genfunc": "theorem2",
+    **{row: "routes" for row in MUTANTS if row.startswith("rodrigues_kernel")},
+}
 
 
 def _mutant(kind, correct):
@@ -162,22 +170,51 @@ def _mutant(kind, correct):
         def mutant(*args):
             for n, p in enumerate(correct(*args)):
                 yield p + Poly.monomial(n + 1) if n >= 3 else p
-    else:
-        def mutant(scale, order):
-            coeffs = correct(scale, order).coeffs
+    elif kind == "series":
+        def mutant(*args):
+            coeffs = correct(*args).coeffs
             return FormalSeries(c + Poly.monomial(4) if k == 3 else c for k, c in enumerate(coeffs))
+    else:  # a kernel reading its numerators from the offset lo + kind
+        def mutant(p, lo, *rate):
+            return correct(p, lo + kind, *rate)
     return mutant
 
 
-@pytest.mark.parametrize("target", MUTANTS)
-def test_kill_matrix(monkeypatch, target):
-    modules = [module for name, module in sys.modules.items() if name == "scepoly" or name.startswith("scepoly.")]
-    correct = next(getattr(module, target) for module in modules if hasattr(module, target))
-    mutant = _mutant(MUTANTS[target], correct)
+@pytest.mark.parametrize("row", MUTANTS)
+def test_kill_matrix(monkeypatch, row):
+    kind, target = MUTANTS[row]
+    module_name, _, name = target.rpartition(".")
+    if module_name:
+        modules = [sys.modules[f"scepoly.{module_name}"]]
+    else:
+        modules = [module for key, module in sys.modules.items() if key == "scepoly" or key.startswith("scepoly.")]
+    correct = next(getattr(module, name) for module in modules if hasattr(module, name))
+    mutant = _mutant(kind, correct)
     for module in modules:
-        if getattr(module, target, None) is correct:
-            monkeypatch.setattr(module, target, mutant)
-    killed = {name for name in VERIFY_SUITES if not run_suite(name, 8).all_passed}
-    assert len(killed) >= (2 if target in CONSTRUCTORS else 1), killed
-    if target in GENFUNC_FAMILIES:
-        assert "genfunc" in killed
+        if getattr(module, name, None) is correct:
+            monkeypatch.setattr(module, name, mutant)
+    killed = {suite for suite in VERIFY_SUITES if not run_suite(suite, 8).all_passed}
+    assert len(killed) >= (2 if row in CONSTRUCTORS else 1), killed
+    if row in KILLERS:
+        assert KILLERS[row] in killed, killed
+
+
+def test_no_route_builds_a_laurent_poly(monkeypatch):
+    # Every value of the layout is made by poly._raw; no suite or CLI request may make a LaurentPoly.
+    built, raw = [], poly._raw
+
+    def spy(cls, *parts):
+        built.append(cls)
+        return raw(cls, *parts)
+
+    for key, module in sys.modules.items():
+        if (key == "scepoly" or key.startswith("scepoly.")) and getattr(module, "_raw", None) is raw:
+            monkeypatch.setattr(module, "_raw", spy)
+    assert run_suite("all", 8).all_passed
+    for argv in (
+        ["poly", "em", "--n", "8", "--m", "-5/3"],
+        ["integrate", "--kind", "exp", "--n", "8", "--m", "-5/3", "--a", "0", "--b", "1", "--check"],
+        ["genfunc", "--family", "em", "--order", "8", "--m", "-5/3"],
+    ):
+        assert cli.main(argv) == 0, argv
+    assert set(built) == {Poly}
