@@ -111,18 +111,18 @@ def render_poly_latex(p: Poly) -> str:
     return _signed_terms(p, "latex", _term_latex)
 
 
-def _json_coeffs(p: Poly) -> list[dict[str, str]]:
-    # As str(Fraction) prints them: "p/q", or "p" when q is 1.
-    return [{"re": f"{rn}/{rd}" if rd != 1 else str(rn), "im": f"{im}/{idn}" if idn != 1 else str(im)}
-            for rn, rd, im, idn in _parts(p)]
+def _json_coeffs(p: Poly) -> str:
+    """The JSON text of p's coefficient array; each part as str(Fraction) prints it, "p/q" or "p" when q is 1."""
+    return "[" + ",".join(f'{{"re":"{rn}{f"/{rd}" if rd != 1 else ""}","im":"{im}{f"/{idn}" if idn != 1 else ""}"}}'
+                          for rn, rd, im, idn in _parts(p)) + "]"
 
 
-def _json_doc(family: str, index_key: str, index: int, m: Fraction | None, coeffs) -> str:
+def _json_doc(family: str, index_key: str, index: int, m: Fraction | None, coeffs: str) -> str:
+    """json.dumps of the whole document, compact: json.dumps encodes the header, and the coefficients' text follows."""
     doc: dict = {"family": family, index_key: index}
     if m is not None:
         doc["m"] = str(m)
-    doc["coeffs"] = coeffs
-    return json.dumps(doc, separators=(",", ":"))
+    return f'{json.dumps(doc, separators=(",", ":"))[:-1]},"coeffs":{coeffs}}}'
 
 
 def poly_to_json(family: str, n: int, p: Poly, m: Fraction | None = None) -> str:
@@ -132,7 +132,7 @@ def poly_to_json(family: str, n: int, p: Poly, m: Fraction | None = None) -> str
 def series_to_json(
     family: str, order: int, fs: genfunc.FormalSeries, m: Fraction | None = None
 ) -> str:
-    return _json_doc(family, "order", order, m, [_json_coeffs(c) for c in fs.coeffs])
+    return _json_doc(family, "order", order, m, f"[{','.join(map(_json_coeffs, fs.coeffs))}]")
 
 
 def poly_from_json(text: str) -> Poly:

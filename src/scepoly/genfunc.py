@@ -1,6 +1,7 @@
 """Truncated formal power series in t with exact polynomial coefficients in x.
 
-Carries the four generating functions
+Carries the four generating functions, each e^(mxt) divided exactly by 1 + t^k (k = 1 or 2), one row recurrence
+q_n = a_n - q_(n-k) of Poly subtractions (``_over_one_plus_t_power``):
 
     E(x,t)      = e^(xt)  / (1+t)      coefficients e_n / n!
     E_m(x,t)    = e^(mxt) / (1+t)      coefficients e_n^(m) / n!
@@ -17,7 +18,8 @@ generating-function formula breaks down and the degenerate closed form
     F(x,t) = (1 + alpha*t)^K * exp((gamma/alpha)(alpha*x + beta) * t)
 
 applies, K being the constant shifted-weight exponent.  ``degenerate_genfunc``
-expands it; for the e_n equation it reproduces E above, exactly.
+expands it as a series product; for the e_n equation it reproduces the division E above, exactly, and the
+theorem2 suite compares the two routes.
 """
 
 from __future__ import annotations
@@ -55,10 +57,10 @@ class FormalSeries(_Immutable):
 
     Arithmetic never consults coefficients beyond the truncation order, and
     mixing different orders is an error rather than a silent re-truncation.
-    A product accumulates row n over A_n*B_n, A_n and B_n being the lcms of
-    each factor's row denominators up to t^n (so row n of E is over n!, not
-    order!), multiply-adding the lifted terms of each pair of rows whose
-    t-powers fit the order into a row as wide as the degrees that reach it.
+    The product serves ``degenerate_genfunc`` and library callers; the four series below are divisions.  It
+    accumulates row n over A_n*B_n, A_n and B_n being the lcms of each factor's row denominators up to t^n (so
+    row n of e^(xt) times a series constant in x is over n!, not order!), multiply-adding the lifted terms of each
+    pair of rows whose t-powers fit the order into a row as wide as the degrees that reach it.
     """
 
     __slots__ = ("coeffs",)
@@ -167,16 +169,17 @@ def series_exp_xt(scale, order: int) -> FormalSeries:
     return FormalSeries(coeffs)
 
 
-def _inv_one_plus_t_power(k: int, order: int) -> FormalSeries:
-    """1/(1+t^k) = sum (-1)^j t^(kj)."""
-    one, zero = Poly.one(), Poly.zero()
-    signs = (one, -one)
-    return FormalSeries(signs[i // k % 2] if i % k == 0 else zero for i in range(order + 1))
+def _over_one_plus_t_power(series: FormalSeries, k: int) -> FormalSeries:
+    """series/(1+t^k) by long division: row n is a_n - q_(n-k), 1/(1+t^k) never formed."""
+    q = list(series.coeffs)
+    for n in range(k, len(q)):
+        q[n] -= q[n - k]
+    return FormalSeries(q)
 
 
 def series_Em(m, order: int) -> FormalSeries:
     """e^(mxt)/(1+t); n!*[t^n] is e_n^(m)."""
-    return series_exp_xt(as_rate(m), order) * _inv_one_plus_t_power(1, order)
+    return _over_one_plus_t_power(series_exp_xt(as_rate(m), order), 1)
 
 
 def series_E(order: int) -> FormalSeries:
@@ -186,12 +189,12 @@ def series_E(order: int) -> FormalSeries:
 
 def series_C(order: int) -> FormalSeries:
     """e^(xt)/(1+t^2); n!*[t^n] is c_n."""
-    return series_exp_xt(1, order) * _inv_one_plus_t_power(2, order)
+    return _over_one_plus_t_power(series_exp_xt(1, order), 2)
 
 
 def series_S(order: int) -> FormalSeries:
-    """-e^(xt)/(1+t^2) = -C; n!*[t^n] is s_n."""
-    return -series_C(order)
+    """-e^(xt)/(1+t^2) = -C; n!*[t^n] is s_n, divided from the negated monomial rows of e^(xt)."""
+    return _over_one_plus_t_power(-series_exp_xt(1, order), 2)
 
 
 def series_connection_check(order: int) -> CheckReport:

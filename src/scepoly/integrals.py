@@ -225,6 +225,20 @@ def _rounds_to_zero(cf: ClosedForm, b: float, a: float) -> bool:
     return num * 3**k <= den
 
 
+def _overflows(rate: GaussianRational, at) -> bool:
+    """True if |F(x)|, or |F(b) - F(a)|, surely exceeds 2^1025 for a real rate g; as e > 2, it does if
+    A 2^floor(g x1) > 2^1026 and 2^floor(g (x1 - x0)) >= 2B/A, x1 maximising gx, A = |Re P(x1)|, B = |Re P(x0)|."""
+    g = rate.re
+    if rate.im or not g:
+        return False
+    (p1, q1, (a, _, da)), *rest = sorted(at, key=lambda t: t[0] / t[1], reverse=g > 0)
+    bits = a.bit_length() - 1 - da.bit_length()  # A > 2^bits
+    if not a or g.numerator * p1 < g.denominator * q1 * max(0, 1026 - bits):  # g*x1 < max(0, 1026 - bits)
+        return False
+    return all(not b or g.numerator * (p1 * q0 - p0 * q1) // (g.denominator * q1 * q0) + bits
+               >= b.bit_length() - db.bit_length() + 2 for p0, q0, (b, _, db) in rest)  # 2B < 2^that
+
+
 def _closed_form_float(cf: ClosedForm, points, what: str) -> float:
     """The double nearest F(x) for points [x], or F(b) - F(a) for [b, a].
 
@@ -236,11 +250,14 @@ def _closed_form_float(cf: ClosedForm, points, what: str) -> float:
     never settle, so the first unsettled pass looks for one; it is 0 unless a point is 0.
     A nonzero value far below the smallest double settles only near 2,000 bits, so every
     definite integral ([b, a]) first meets the exact size bound of ``_rounds_to_zero``, and
-    one that it decides rounds to 0 is 0.0 before any polynomial value is computed.
+    one that it decides rounds to 0 is 0.0 before any polynomial value is computed.  A value that ``_overflows``
+    decides from the polynomial values alone is refused before any exponential is built.
     """
     if len(points) == 2 and _rounds_to_zero(cf, *points):
         return 0.0
     at = [(p, q, _eval_numerators(cf.part, p, 0, q)) for p, q in (x.as_integer_ratio() for x in points)]
+    if _overflows(cf.rate, at):
+        raise OverflowError(f"{what} overflows double precision")
     prec = _START_PREC
     while True:
         a, b = (r and from_rational(r.numerator, r.denominator, prec, _NEAREST) for r in (cf.rate.re, cf.rate.im))

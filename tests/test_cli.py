@@ -8,6 +8,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from math import factorial
 from pathlib import Path
@@ -299,6 +300,37 @@ class TestRenderersMatchReference:
         assert render_closed_form_text(cf) == expected
 
 
+def _former_json(family, index_key, index, m, coeffs) -> str:
+    """The JSON document as one json.dumps of a dict per coefficient, the writer's former construction."""
+    doc = {"family": family, index_key: index}
+    if m is not None:
+        doc["m"] = str(m)
+    doc["coeffs"] = coeffs
+    return json.dumps(doc, separators=(",", ":"))
+
+
+class TestJsonWriterMatchesJsonDumps:
+    """The JSON writer, which splices the coefficients' text after a json.dumps header, gives json.dumps's bytes."""
+
+    FAMILIES = st.text(st.sampled_from(['"', "\\", "/", "e", " ", "\n", "\x7f", "é", "€", "\U0001f600"])) | st.text()
+    POLYS = render_polys() | render_polys(gaussian=True)
+
+    @given(family=FAMILIES, n=st.integers(0, 10**30), p=POLYS, m=st.none() | st.fractions())
+    @settings(deadline=None, max_examples=300)
+    @example(family='em "\\ é', n=3, p=Poly([3, -7, 0, 12]), m=Fraction(-5, 3))  # integers: no "/1"
+    @example(family="e", n=0, p=Poly.zero(), m=Fraction(0))
+    def test_poly(self, family, n, p, m):
+        assert poly_to_json(family, n, p, m) == _former_json(family, "n", n, m, _ref_json_coeffs(p))
+
+    @given(family=FAMILIES, coeffs=st.lists(POLYS, min_size=1, max_size=5), m=st.none() | st.fractions())
+    @settings(deadline=None, max_examples=200)
+    @example(family="\\\"", coeffs=[Poly([GaussianRational(0, -1)]), Poly.zero()], m=None)
+    def test_series(self, family, coeffs, m):
+        order = len(coeffs) - 1
+        expected = _former_json(family, "order", order, m, [_ref_json_coeffs(c) for c in coeffs])
+        assert series_to_json(family, order, FormalSeries(coeffs), m) == expected
+
+
 def _decimal(k: int) -> str:
     """str(k) past the interpreter's int-to-str digit limit."""
     limit = sys.get_int_max_str_digits()
@@ -529,6 +561,28 @@ class TestBadBounds:
         )
         assert (code, out) == (2, "")
         assert err == "error: definite integral overflows double precision\n"
+
+
+class TestLargeRateOverflow:
+    """An exp integral that certainly overflows is refused before any exponential is built."""
+
+    OVERFLOWS = (2, "", "error: definite integral overflows double precision\n")
+
+    @pytest.mark.parametrize("n, m, a, b", [
+        (0, "1e1000", "0", "1"), (0, "12345e4299", "0", "1"), (1, "1e2000", "0", "1"), (0, "-1e1000", "-1", "0"),
+    ])
+    def test_refused_at_once(self, capsys, n, m, a, b):
+        start = time.perf_counter()
+        with mock.patch.object(integrals, "mpf_exp", side_effect=AssertionError("an exponential was built")):
+            result = run_cli(capsys, "integrate", "--kind", "exp", "--n", str(n), "--m", m, "--a", a, "--b", b)
+        assert result == self.OVERFLOWS
+        assert time.perf_counter() - start < 0.2
+
+    def test_edge_of_the_double_range(self, capsys):
+        # e^716/716 is below 2^1024 and e^717/717 above it; the bit-length test decides neither, the rounding does.
+        args = ("integrate", "--kind", "exp", "--n", "0", "--a", "0", "--b", "1", "--m")
+        assert run_cli(capsys, *args, "716") == (0, "1.2587399625442793e+308\n", "")
+        assert run_cli(capsys, *args, "717") == self.OVERFLOWS
 
 
 class TestQuadratureOverflow:

@@ -10,6 +10,7 @@ from scepoly.genfunc import (
     E_SPEC,
     FormalSeries,
     LinearHGSpec,
+    _over_one_plus_t_power,
     degenerate_genfunc,
     em_spec,
     laguerre_spec,
@@ -152,6 +153,23 @@ class TestSeriesArithmetic:
         for factor in (3, Fraction(-1, 2), I, X + 1):
             expected = FormalSeries(c * factor for c in f.coeffs)
             assert f * factor == factor * f == expected
+
+
+class TestLongDivision:
+    """``_over_one_plus_t_power`` is f/(1+t^k): the product route is its oracle."""
+
+    @given(rows=st.lists(_rows, min_size=1, max_size=9), k=st.sampled_from([1, 2, 3]))  # order 0 to 8
+    @example(rows=_MIXED[0], k=2)
+    @example(rows=_exp_rows(Fraction(-2, 3), 5), k=1)
+    @example(rows=[[(1, 0)]], k=3)  # order below k: nothing to divide
+    def test_matches_the_product_route(self, rows, k):
+        f = _series(rows)
+        q = _over_one_plus_t_power(f, k)
+        one_plus_t_power = FormalSeries(1 if i in (0, k) else 0 for i in range(f.order + 1))
+        assert q * one_plus_t_power == f
+        # The Neumann series 1/(1+t^k) = sum (-1)^j t^(kj), as the product route built it.
+        alternating = FormalSeries((-1) ** (i // k) if i % k == 0 else 0 for i in range(f.order + 1))
+        assert q == f * alternating
 
 
 class TestExpXtSeries:

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import mpmath
 from mpmath.libmp import (
@@ -537,6 +538,54 @@ class TestSizeBound:
         cf = closed_form(kind, n, Fraction(-5, 3) if kind == "exp" else None)
         if integrals._rounds_to_zero(cf, b, a):
             assert _reference_rounds_to_zero(kind, n, Fraction(-5, 3), b, a)
+
+
+class TestOverflowDecision:
+    """``_overflows`` says yes only where the correctly rounded value is infinite."""
+
+    @given(
+        n=st.sampled_from([0, 1, 2, 5]),
+        m=(st.integers(-3000, 3000) | st.fractions(-1500, 1500, max_denominator=40)).filter(bool).map(Fraction),
+        a=st.floats(-3, 3),
+        b=st.floats(-3, 3) | st.none(),
+    )
+    @settings(deadline=None, max_examples=300)
+    @example(n=0, m=Fraction(1037), a=0.0, b=1.0)  # 1037 >= 1026 + bit_length(1037): decided
+    @example(n=0, m=Fraction(1036), a=0.0, b=1.0)  # one less: left to the rounding loop
+    @example(n=1, m=Fraction(-1200), a=-1.0, b=-0.999)  # x1 is the lower bound for a negative rate
+    # A = 2^1020 and g*x1 = 7 pass the first test, but b - a is one ulp: F(a) cancels F(b) to about 2^980.
+    @example(n=0, m=Fraction(1, 2**1020), a=7 * 2.0**1020, b=math.nextafter(7 * 2.0**1020, math.inf))
+    # A = 17 * 2^1040 at g*x1 = -16: e^(g*x1) < 1, so that A alone says nothing; F(x1) is about 2^1021.
+    @example(n=1, m=Fraction(-1, 2**520), a=16 * 2.0**520, b=32 * 2.0**520)
+    def test_sound(self, n, m, a, b):
+        decided, overflows = [], integrals._overflows
+
+        def spy(rate, at):
+            decided.append(overflows(rate, at))
+            return False
+
+        cf = closed_form("exp", n, m)
+        with mock.patch.object(integrals, "_overflows", spy):
+            try:
+                definite_integral(cf, a, b) if b is not None else eval_closed_form(cf, a)
+            except OverflowError:
+                return
+        assert True not in decided
+
+    @pytest.mark.parametrize("m, decided", [(1037, True), (1036, False)])
+    def test_edge(self, m, decided):
+        # e^(m x)/m on [0, 1]: A = 1/m has bits = -bit_length(m), so g*x1 must reach 1026 + bit_length(m) = 1037.
+        cf = closed_form("exp", 0, m)
+        at = [(p, 1, integrals._eval_numerators(cf.part, p, 0, 1)) for p in (1, 0)]
+        assert integrals._overflows(cf.rate, at) is decided
+        with pytest.raises(OverflowError):
+            definite_integral(cf, 0.0, 1.0)
+
+    def test_sin_cos_and_complex_rates_are_not_decided(self):
+        at = [(10**6, 1, (1, 0, 1)), (0, 1, (1, 0, 1))]
+        assert not integrals._overflows(I, at)
+        assert not integrals._overflows(GaussianRational(10**6, 1), at)
+        assert integrals._overflows(GaussianRational(10**6), at)
 
 
 class TestQuadrature:
