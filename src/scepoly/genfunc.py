@@ -18,17 +18,16 @@ generating-function formula breaks down and the degenerate closed form
     F(x,t) = (1 + alpha*t)^K * exp((gamma/alpha)(alpha*x + beta) * t)
 
 applies, K being the constant shifted-weight exponent.  ``degenerate_genfunc``
-expands it as a series product; for the e_n equation it reproduces the division E above, exactly, and the
-theorem2 suite compares the two routes.
+builds its rows by the first-order t-recurrence that F's log-derivative gives; for the e_n equation it
+reproduces the division E above, exactly, and the theorem2 suite compares the two routes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
-from math import factorial, gcd, lcm
+from math import gcd, lcm
 
-from .poly import _SCALARS, Poly, _im, _raw
+from .poly import _SCALARS, Poly, _raw
 from .rational import I, _Immutable, _Record, as_rate, as_rational
 from .report import CheckReport
 
@@ -57,10 +56,8 @@ class FormalSeries(_Immutable):
 
     Arithmetic never consults coefficients beyond the truncation order, and
     mixing different orders is an error rather than a silent re-truncation.
-    The product serves ``degenerate_genfunc`` and library callers; the four series below are divisions.  It
-    accumulates row n over A_n*B_n, A_n and B_n being the lcms of each factor's row denominators up to t^n (so
-    row n of e^(xt) times a series constant in x is over n!, not order!), multiply-adding the lifted terms of each
-    pair of rows whose t-powers fit the order into a row as wide as the degrees that reach it.
+    The product of two series is the plain Cauchy product, row n the sum of a_i*b_(n-i); it serves library
+    callers only, since the four series below are divisions and ``degenerate_genfunc`` a recurrence.
     """
 
     __slots__ = ("coeffs",)
@@ -83,7 +80,8 @@ class FormalSeries(_Immutable):
         return len(self.coeffs) - 1
 
     def coeff(self, k: int) -> Poly:
-        return self.coeffs[k]
+        """The coefficient of t^k: zero below t^0, IndexError past the order."""
+        return self.coeffs[k] if k >= 0 else Poly.zero()
 
     def _check_order(self, other: "FormalSeries"):
         if self.order != other.order:
@@ -109,28 +107,8 @@ class FormalSeries(_Immutable):
                 return NotImplemented
             return FormalSeries(c * other for c in self.coeffs)
         self._check_order(other)
-        a, a_dens, a_degs = _rows(self.coeffs)
-        b, b_dens, b_degs = _rows(other.coeffs)
-        steps = [y // x for x, y in zip(a_dens, a_dens[1:])] + [1]  # A_(n+1)/A_n
-        re = [[0] * (d + e + 1) for d, e in zip(a_degs, b_degs)]
-        im = [[0] * len(r) for r in re] if any(c.im for c in (*self.coeffs, *other.coeffs)) else [()] * len(re)
-        for i, (da, a_terms) in enumerate(a):
-            if not a_terms:
-                continue
-            a_lift = a_dens[i] // da  # A_n/da_i, one step further for each n
-            for n, (db, b_terms), step in zip(range(i, len(re)), b, steps[i:]):  # b's row n - i
-                if b_terms:
-                    lift, row_re, row_im = a_lift * (b_dens[n] // db), re[n], im[n]
-                    for d, ar, ai in a_terms:
-                        ar, ai = ar * lift, ai * lift
-                        for e, br, bi in b_terms:
-                            if ai or bi:
-                                row_re[d + e] += ar * br - ai * bi
-                                row_im[d + e] += ar * bi + ai * br
-                            else:
-                                row_re[d + e] += ar * br
-                a_lift *= step
-        return FormalSeries(map(Poly.from_numerators, re, im, map(int.__mul__, a_dens, b_dens)))
+        a, b = self.coeffs, other.coeffs
+        return FormalSeries(sum((a[i] * b[n - i] for i in range(n + 1)), Poly.zero()) for n in range(len(a)))
 
     __rmul__ = __mul__
 
@@ -145,13 +123,6 @@ class FormalSeries(_Immutable):
 
     def __repr__(self) -> str:
         return f"FormalSeries(order={self.order})"
-
-
-def _rows(coeffs) -> tuple[list, list, list]:
-    """(rows, dens, degs): rows[n] is (den, [(x-power, re, im), ...]), t^n's nonzero numerators over its
-    own den; dens[n] and degs[n] are the lcm of the denominators and the top degree of t^0 .. t^n."""
-    rows = [(c.den, [(k, r, s) for k, (r, s) in enumerate(zip(c.re, _im(c)), c.lo) if r or s]) for c in coeffs]
-    return rows, list(accumulate((c.den for c in coeffs), lcm)), list(accumulate((c.degree for c in coeffs), max))
 
 
 # ---------------------------------------------------------------------------
@@ -310,24 +281,24 @@ def degenerate_genfunc(spec: LinearHGSpec, order: int) -> FormalSeries:
     Only valid in the degenerate case.  With sigma = (alpha*x+beta)^K
     * e^((gamma/alpha) x) and K constant, substituting xi collapses to
 
-        (1 + alpha*t)^K * exp((gamma/alpha)(alpha*x + beta) * t),
+        F = (1 + alpha*t)^K * exp(g*t),   g = (gamma/alpha)(alpha*x + beta),
 
-    expanded here with the rational-exponent binomial series.
+    which is hyperexponential: (1 + alpha*t) dF/dt = (alpha*K + g + alpha*g*t) F.
+    Its coefficients therefore follow from f_0 = 1 by the first-order recurrence
+
+        (n+1) f_(n+1) = (g + alpha*(K - n)) f_n + alpha*g f_(n-1),
+
+    a few Poly operations per row and no series product.
     """
     if not nu_degeneracy_check(spec):
         raise ValueError(
             "generating-function closed form requires an n-independent "
             "shifted weight (delta1 = -alpha)"
         )
-    k_exp = sigma_linear(spec, 0).exponent
-    # alpha^k C(K, k), by the ratio C(K, k+1) = C(K, k) (K-k)/(k+1)
-    binom = [Fraction(1)]
-    for k in range(order):
-        binom.append(binom[-1] * spec.alpha * (k_exp - k) / (k + 1))
-    # exp(g(x) * t) with g = (gamma/alpha)(alpha*x + beta) = gamma*x + gamma*beta/alpha
-    g = Poly([spec.gamma * spec.beta / spec.alpha, spec.gamma])
-    powers = [Poly.one()]
-    for _ in range(order):
-        powers.append(powers[-1] * g)
-    expo = FormalSeries(g_k / factorial(k) for k, g_k in enumerate(powers))
-    return FormalSeries(binom) * expo
+    alpha, k_exp = spec.alpha, sigma_linear(spec, 0).exponent
+    g = Poly([spec.gamma * spec.beta / alpha, spec.gamma])
+    alpha_g = alpha * g
+    f = [Poly.zero(), Poly.one()]  # f_(-1), f_0
+    for n in range(order):
+        f.append(((g + alpha * (k_exp - n)) * f[-1] + alpha_g * f[-2]) / (n + 1))
+    return FormalSeries(f[1 : order + 2])

@@ -1,5 +1,6 @@
 """The package's public names come from its modules' ``__all__`` lists alone."""
 
+import ast
 import re
 import textwrap
 from pathlib import Path
@@ -40,3 +41,29 @@ README_BLOCKS = [textwrap.dedent(b) for b in re.findall(r"```python\n(.*?)```", 
 @pytest.mark.parametrize("block", README_BLOCKS, ids=lambda block: block.splitlines()[0])
 def test_readme_code_blocks_run(block):
     exec(compile(block, "README.md", "exec"), {})
+
+
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Module-level imported names that the module never reads and does not list in ``__all__``; a star
+    import and ``__future__`` features bind nothing to check."""
+    imported = [
+        alias.asname or alias.name.partition(".")[0]
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+        if alias.name != "*"
+    ]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    listed = {
+        element.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+        for element in getattr(node.value, "elts", ())
+        if isinstance(element, ast.Constant)
+    }
+    return [name for name in imported if name not in read | listed]
+
+
+@pytest.mark.parametrize("path", sorted(Path(scepoly.__file__).parent.glob("*.py")), ids=lambda path: path.name)
+def test_no_unused_module_level_imports(path):
+    assert _unused_imports(ast.parse(path.read_text("utf-8"))) == []

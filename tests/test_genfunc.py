@@ -122,6 +122,13 @@ class TestSeriesArithmetic:
         with pytest.raises(ValueError, match="orders differ"):
             g * f
 
+    def test_coeff_is_zero_below_t0(self):
+        f = series_E(5)
+        assert [f.coeff(k) for k in (-1, -6, -7)] == [Poly.zero()] * 3
+        assert f.coeff(5) == e_explicit(5) / factorial(5)
+        with pytest.raises(IndexError):
+            f.coeff(6)
+
     def test_addition_and_negation(self):
         f = series_S(5)
         assert f - f == FormalSeries.zero(5)
@@ -406,7 +413,45 @@ class TestDegeneracy:
         assert nu_degeneracy_check(em_spec(Fraction(-2)))
 
 
+@st.composite
+def _degenerate_specs(draw):
+    """A degenerate spec (delta1 = -alpha): delta0 drawn as it is, or from K = sigma_linear(spec, 0).exponent
+    by delta0 = alpha*K + beta*gamma/alpha + alpha, with K a non-negative integer or any rational."""
+    alpha, beta, gamma = draw(_parts.filter(bool)), draw(_parts), draw(_parts)
+    k_exp = draw(st.none() | st.integers(0, 6).map(Fraction) | _parts)
+    delta0 = draw(_parts) if k_exp is None else alpha * k_exp + beta * gamma / alpha + alpha
+    return LinearHGSpec(alpha, beta, gamma, delta0, -alpha)
+
+
 class TestDegenerateGenfunc:
+    @given(spec=_degenerate_specs(), order=st.integers(0, 12))
+    @example(spec=E_SPEC, order=12)
+    @example(spec=LinearHGSpec(Fraction(-2, 3), Fraction(1, 2), 0, Fraction(5, 4), Fraction(2, 3)), order=8)  # gamma = 0
+    @example(spec=LinearHGSpec(2, Fraction(-1, 3), Fraction(3, 2), Fraction(23, 4), -2), order=10)  # K = 2
+    def test_matches_the_binomial_product(self, spec, order):
+        """The t-recurrence against a second expansion: the binomial series of (1 + alpha*t)^K times the
+        series of exp(g*t), g = gamma*x + gamma*beta/alpha.  Each row y_n = n!*[t^n]F solves the degree-n
+        equation and lowers by y_n' = gamma*n*y_(n-1), a relation the recurrence does not use."""
+        series = degenerate_genfunc(spec, order)
+        alpha, k_exp = spec.alpha, sigma_linear(spec, 0).exponent
+        binom = [Fraction(1)]
+        for k in range(order):
+            binom.append(binom[-1] * alpha * (k_exp - k) / (k + 1))
+        g = spec.gamma * X + spec.gamma * spec.beta / alpha
+        assert series == FormalSeries(binom) * FormalSeries(g**k / factorial(k) for k in range(order + 1))
+        previous = Poly.zero()  # y_(-1)
+        for n in range(order + 1):
+            y = factorial(n) * series.coeff(n)
+            assert spec.residual(y, n).is_zero()
+            assert y.derivative() == spec.gamma * n * previous
+            previous = y
+
+    def test_negative_order_has_no_t0_coefficient(self):
+        with pytest.raises(ValueError, match="a series needs at least the t\\^0 coefficient"):
+            series_E(-1)
+        with pytest.raises(ValueError, match="a series needs at least the t\\^0 coefficient"):
+            degenerate_genfunc(E_SPEC, -1)
+
     def test_reproduces_e_series(self):
         assert degenerate_genfunc(E_SPEC, 30) == series_E(30)
 

@@ -35,7 +35,7 @@ def test_cli_shares_the_suite_table():
 
 @pytest.mark.parametrize("name,count", [("genfunc", 284), ("theorem2", 7)])
 def test_series_suites_at_max_n_64(name, count):
-    # 64 is the default SCE_MAX_N cap; both suites rest on FormalSeries products
+    # 64 is the default SCE_MAX_N cap; both suites compare series built by division and by recurrence
     report = run_suite(name, 64)
     assert len(report) == count
     assert report.all_passed, report.failures
@@ -114,6 +114,23 @@ def test_genfunc_divides_each_series_once(monkeypatch):
     assert products == []
 
 
+def test_all_multiplies_no_series_by_a_series(monkeypatch):
+    # Every series is a division or, in theorem2, degenerate_genfunc's t-recurrence; a series may still be
+    # scaled by a Poly or a scalar.
+    products, mul = [], FormalSeries.__mul__
+
+    def mul_spy(a, b):
+        if isinstance(b, FormalSeries):
+            products.append(a.order)
+        return mul(a, b)
+
+    monkeypatch.setattr(FormalSeries, "__mul__", mul_spy)
+    monkeypatch.setattr(FormalSeries, "__rmul__", mul_spy)
+    report = run_suite("all", 24)
+    assert report.all_passed, report.failures
+    assert products == []
+
+
 def test_odes_build_each_em_once_per_rate_and_index(monkeypatch):
     # P = e_n^(m) / m^(n+1) reuses the e_n^(m) that the ODE checks build;
     # antideriv_poly_exp is checked by theorem1 at the same rates.
@@ -149,9 +166,9 @@ def test_residual_catches_a_wrong_family(monkeypatch, suite, family, ode_label):
 
 
 # The kill matrix: each mutant perturbs one family constructor, route or series from n = 3 on (x^4 at t^3 for
-# a series), or the Rodrigues sweep's kernel, and some suite must fail for it.  A mutant rebinds every scepoly
-# module attribute that is its target, since integrals binds families names at import; a target qualified by
-# its module rebinds that module's name alone.
+# a series), the Rodrigues sweep's kernel, or the shifted weight's exponent K (one too large), and some suite
+# must fail for it.  A mutant rebinds every scepoly module attribute that is its target, since integrals binds
+# families names at import; a target qualified by its module rebinds that module's name alone.
 CONSTRUCTORS = ("e_explicit", "s_explicit", "c_from_s", "shat", "chat", "em_explicit", "laguerre_general")
 MUTANTS = {
     **{name: ("constructor", name) for name in (*CONSTRUCTORS, "antideriv_poly_exp", "c_from_e")},
@@ -159,12 +176,14 @@ MUTANTS = {
     **{name: ("series", name) for name in ("series_exp_xt", "degenerate_genfunc", "_over_one_plus_t_power")},
     # The sweep's kernel reading its numerators from an offset one off; Poly.derivative keeps poly's binding.
     **{f"rodrigues_kernel(lo{shift:+d})": (shift, "families._derivative") for shift in (1, -1)},
+    "sigma_linear": ("exponent", "sigma_linear"),
 }
-# The suites that must be among the killers of a row.  theorem2 compares the product of ``degenerate_genfunc``
-# with the division of ``series_E`` and ``series_Em``, so a wrong division fails there too.
+# The suites that must be among the killers of a row.  theorem2 compares ``degenerate_genfunc``'s t-recurrence,
+# which reads K from ``sigma_linear``, with the division of ``series_E`` and ``series_Em``, so a wrong K or a
+# wrong division fails there too.
 KILLERS = {
     **{name: {"genfunc"} for name in ("e_explicit", "s_explicit", "c_from_s", "em_explicit")},
-    "degenerate_genfunc": {"theorem2"},
+    **{name: {"theorem2"} for name in ("degenerate_genfunc", "sigma_linear")},
     "_over_one_plus_t_power": {"genfunc", "theorem2"},
     **{row: {"routes"} for row in MUTANTS if row.startswith("rodrigues_kernel")},
 }
@@ -183,6 +202,10 @@ def _mutant(kind, correct):
         def mutant(*args):
             coeffs = correct(*args).coeffs
             return FormalSeries(c + Poly.monomial(4) if k == 3 else c for k, c in enumerate(coeffs))
+    elif kind == "exponent":
+        def mutant(spec, n):
+            w = correct(spec, n)
+            return genfunc.WeightForm(w.alpha, w.beta, w.exponent + 1, w.rate)
     else:  # a kernel reading its numerators from the offset lo + kind
         def mutant(p, lo, *rate):
             return correct(p, lo + kind, *rate)
