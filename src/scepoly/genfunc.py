@@ -288,17 +288,33 @@ def degenerate_genfunc(spec: LinearHGSpec, order: int) -> FormalSeries:
 
         (n+1) f_(n+1) = (g + alpha*(K - n)) f_n + alpha*g f_(n-1),
 
-    a few Poly operations per row and no series product.
+    and no series product.  Each row is one pass over the numerators of the two before it, as in
+    ``LinearHGSpec.residual``: with g = g0 + gamma*x, and g0 + alpha*K, alpha, gamma, alpha*g0 and
+    alpha*gamma as u, a, c, w0, w1 over one denominator D, the numerator of x^j in f_(n+1) is
+    (u - a*n)*f_n[j] + c*f_n[j-1] + w0*f_(n-1)[j] + w1*f_(n-1)[j-1], over the rows' common
+    denominator times D*(n+1).
     """
     if not nu_degeneracy_check(spec):
         raise ValueError(
             "generating-function closed form requires an n-independent "
             "shifted weight (delta1 = -alpha)"
         )
-    alpha, k_exp = spec.alpha, sigma_linear(spec, 0).exponent
-    g = Poly([spec.gamma * spec.beta / alpha, spec.gamma])
-    alpha_g = alpha * g
+    alpha, gamma, k_exp = spec.alpha, spec.gamma, sigma_linear(spec, 0).exponent
+    g0 = gamma * spec.beta / alpha
+    values = (g0 + alpha * k_exp, alpha, gamma, alpha * g0, alpha * gamma)
+    D = lcm(*(v.denominator for v in values))
+    u, a, c, w0, w1 = (v.numerator * (D // v.denominator) for v in values)
+
+    def padded(p: Poly, den: int, size: int) -> list[int]:
+        scale = den // p.den
+        return [0] * p.lo + [v * scale for v in p.re] + [0] * (size - p.lo - len(p.re))
+
     f = [Poly.zero(), Poly.one()]  # f_(-1), f_0
     for n in range(order):
-        f.append(((g + alpha * (k_exp - n)) * f[-1] + alpha_g * f[-2]) / (n + 1))
+        den = lcm(f[-1].den, f[-2].den)
+        last, older = padded(f[-1], den, n + 2), padded(f[-2], den, n + 2)
+        u_n = u - a * n
+        f.append(Poly.from_numerators(
+            [u_n * l0 + c * l1 + w0 * o0 + w1 * o1 for l0, l1, o0, o1 in zip(last, [0, *last], older, [0, *older])],
+            (), den * D * (n + 1)))
     return FormalSeries(f[1 : order + 2])

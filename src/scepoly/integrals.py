@@ -10,7 +10,8 @@ and each is one term F = Re(part(x) e^(rate x)), a ``ClosedForm`` (rate, part) r
 Verification is dual-route: ``check_antiderivative`` differentiates that term exactly, while ``quad_adaptive``
 is an independent floating-point oracle (global adaptive Gauss-Kronrod 7-15 with QUADPACK's error
 estimate) that never touches the closed forms.  ``definite_integral`` rounds F(b) - F(a) correctly (Ziv's test)
-on raw ``mpmath.libmp`` values, from the integer numerators of the part at each endpoint.
+from the integer numerators of the part at each endpoint, on an integer fixed-point kernel: exp, cos and sin by
+Taylor series after reduction by ln 2 and pi/2, an error count in ulps, and one rounding to a double.
 """
 
 from __future__ import annotations
@@ -20,9 +21,6 @@ import math
 import sys
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
-
-from mpmath.libmp import dps_to_prec, fone, from_rational, mpf_abs, mpf_add, mpf_cos_sin, mpf_exp
-from mpmath.libmp import mpf_mul, mpf_nint, mpf_shift, mpf_sub, round_nearest as _NEAREST, to_float, to_int
 
 from .families import _last, antideriv_poly_exp, c_from_s, chat, rodrigues_sweep, s_explicit, shat
 from .poly import ExpPoly, Poly, _eval_numerators
@@ -171,28 +169,132 @@ def antiderivative_recurrence_report(n_max: int) -> CheckReport:
 # Floating-point evaluation and the quadrature oracle
 # ---------------------------------------------------------------------------
 
-# 40 digits settle every sampled request in the documented domain; 8 bits of slack cover one value's roundings.
-_START_PREC, _SLACK_BITS = dps_to_prec(40), 8
+# 136 bits, 40 digits, settle every sampled request in the documented domain at the first pass.
+_START_PREC = 136
 
 
-def _value_mp(a, b, p: int, q: int, c: tuple[int, int, int], prec: int):
-    """F(x) = Re(c e^(rate x)) = e^(ax) (Re c cos bx - Im c sin bx) at x = p/q and rate a + bi, c = (re + im*i)/den,
-    and its noise (|Re c cos bx| + |Im c sin bx|) e^(ax) (1 + |ax|), as raw mpf values rounded to nearest at prec (a
-    zero a or b is skipped).  A double x and bx are exact (b is 0 or 1), but exp turns ax's absolute error relative."""
-    re, im, den = c
-    x, value = from_rational(p, q, prec, _NEAREST), from_rational(re, den, prec, _NEAREST)
-    size = mpf_abs(value)
-    if b:
-        cos, sin = mpf_cos_sin(mpf_mul(b, x, prec, _NEAREST), prec, _NEAREST)
-        u = mpf_mul(value, cos, prec, _NEAREST)
-        v = mpf_mul(from_rational(im, den, prec, _NEAREST), sin, prec, _NEAREST)
-        value, size = mpf_sub(u, v, prec, _NEAREST), mpf_add(mpf_abs(u), mpf_abs(v), prec, _NEAREST)
-    if a:
-        ax = mpf_mul(a, x, prec, _NEAREST)
-        scale = mpf_exp(ax, prec, _NEAREST)
-        value, size = mpf_mul(value, scale, prec, _NEAREST), mpf_mul(size, scale, prec, _NEAREST)
-        size = mpf_mul(size, mpf_add(fone, mpf_abs(ax), prec, _NEAREST), prec, _NEAREST)
-    return value, size
+def _odd_series(x: int, sign: int, bits: int) -> tuple[int, int]:
+    """(S, e), |S - f(1/x) 2^bits| <= e for f = atanh (sign 1) or atan (sign -1), f(1/x) = sum sign^k / ((2k + 1)
+    x^(2k + 1)).  Nested floors of positive ints are one floor, so each term is its own floor, within 1; the tail
+    past the first zero power is below 9/8, so e = the next odd index k bounds the term count plus the tail."""
+    total, power, k, x2 = 0, (1 << bits) // x, 1, x * x
+    while power:
+        total += power // k
+        power //= x2
+        k += 2
+        if sign < 0:  # atan's terms alternate: each step takes a pair
+            total -= power // k
+            power //= x2
+            k += 2
+    return total, k
+
+
+def _ln2(bits: int) -> tuple[int, int]:
+    """(L, e), |L - ln 2 * 2^bits| <= e, by ln 2 = 2 atanh(1/3)."""
+    total, e = _odd_series(3, 1, bits)
+    return 2 * total, 2 * e
+
+
+def _half_pi(bits: int) -> tuple[int, int]:
+    """(H, e), |H - pi/2 * 2^bits| <= e, by Machin's formula pi/2 = 8 atan(1/5) - 2 atan(1/239)."""
+    (a, ea), (b, eb) = _odd_series(5, -1, bits), _odd_series(239, -1, bits)
+    return 8 * a - 2 * b, 8 * ea + 2 * eb
+
+
+def _reduce(num: int, den: int, const: tuple[int, int], bits: int, prec: int) -> tuple[int, int, int]:
+    """(k, r, e): num/den = k c + (r + d)/2^prec with |d| <= e, k the integer nearest num/(den c), for the constant c
+    held as (C, eC), |C - c 2^bits| <= eC, bits > prec.  One floor each for num/den and r, and k eC from c."""
+    c, ec = const
+    k = ((num << (bits + 1)) // (den * c) + 1) >> 1
+    shift = bits - prec
+    return k, ((num << bits) // den - k * c) >> shift, ((1 + abs(k) * ec) >> shift) + 2
+
+
+def _odd_taylor(t: int, sign: int, prec: int) -> tuple[int, int]:
+    """(S, e), |S - f(t/2^prec) 2^prec| <= e for f = sinh (sign 1) or sin (sign -1) and |t| <= 2^prec: Taylor in ints
+    on the exact square t^2.  Each term is one floor of the last times t^2/(k(k - 1)): the floor adds 1 and the last
+    term's error comes in at most a sixth, so each is within 2; the ratio of terms is then below 1/2, and the first
+    zero term bounds the tail by 2 more.  The series runs on |t|, so that floors of sinh's terms reach 0, not -1."""
+    total = term = abs(t)
+    t2, k = sign * term * term, 1
+    while term:
+        k += 2
+        term = term * t2 // ((k - 1) * k << 2 * prec)
+        total += term
+    return total if t >= 0 else -total, k + 1
+
+
+def _enclosure(rate: GaussianRational, at, prec: int) -> tuple[int, int, int, int]:
+    """(N, E, D, s) with F(x), or F(b) - F(a), strictly between (N - E) 2^s / D and (N + E) 2^s / D, or equal to
+    N 2^s / D if E = 0, for at = [(p, q, c)] or [(p_b, q_b, c_b), (p_a, q_a, c_a)], x = p/q and c = (re + im*i)/den
+    the part's value there.
+
+    F(x) = e^(gx) (re cos hx - im sin hx) / den for the rate g + hi.  gx = k ln 2 + r and hx = m pi/2 + t, with
+    |r| <= ln 2/2 and |t| <= pi/4, each constant computed once, at enough bits past prec to take k or m times its
+    error.  sinh r and sin t are Taylor series at prec bits (``_odd_taylor``), with an error count in ulps;
+    cosh r and cos t are their integer square roots, e^r = sinh r + cosh r, and m % 4 picks the quadrant.  Each
+    endpoint is then V 2^(k - 2 prec) / den within W in the same units, all ints; at x = 0 it is exact.  An
+    endpoint below one unit of the other is bounded by that unit, not shifted into line with it, and if its sign
+    is known the value lies on that side of the other: F(0) at a midpoint between doubles plus a term far below
+    it rounds toward that term.
+    """
+    (gn, gd), (hn, hd) = rate.re.as_integer_ratio(), rate.im.as_integer_ratio()
+    # |gx|, |hx| < 2^size, so |k|, |m| < 2^(size + 1), and 12 more bits absorb their products with a constant's error
+    size = max(p.bit_length() - q.bit_length() for p, q, _ in at) + max(
+        gn.bit_length() - gd.bit_length(), hn.bit_length() - hd.bit_length()) + 2
+    bits = prec + max(size, 0) + 12
+    ln2, half_pi = gn and _ln2(bits), hn and _half_pi(bits)
+    terms = []
+    for sign, (p, q, (re, im, den)) in zip((1, -1), at):
+        k, exp, e_exp = 0, 1 << prec, 0
+        if gn and p:
+            k, r, e_r = _reduce(gn * p, gd * q, ln2, bits, prec)
+            sinh, e_sinh = _odd_taylor(r, 1, prec)
+            exp = sinh + math.isqrt((1 << 2 * prec) + sinh * sinh)  # cosh r within e_sinh + 1, as |tanh r| < 1
+            e_exp = 2 * e_sinh + 1 + 2 * e_r  # |d/dr e^r| < 2
+        cos, sin, e_trig = 1 << prec, 0, 0
+        if hn and p:
+            m, t, e_t = _reduce(hn * p, hd * q, half_pi, bits, prec)
+            sin, e_sin = _odd_taylor(t, -1, prec)
+            cos = math.isqrt((1 << 2 * prec) - sin * sin)  # cos t within 2 e_sin + 1, as |tan t| < 2
+            e_trig = 2 * e_sin + 1 + e_t  # |d/dt cos t|, |d/dt sin t| <= 1
+            for _ in range(m % 4):  # cos(t + pi/2) = -sin t, sin(t + pi/2) = cos t
+                cos, sin = -sin, cos
+        mix = re * cos - im * sin
+        e_mix = (abs(re) + abs(im)) * e_trig
+        if mix or e_mix:
+            terms.append((sign * exp * mix, exp * e_mix + e_exp * (abs(mix) + e_mix), k - 2 * prec, den))
+    if not terms:
+        return 0, 0, 1, 0
+    (v, w, s, d), *rest = sorted(terms, key=lambda term: term[2], reverse=True)
+    for v1, w1, s1, d1 in rest:
+        shift = s - s1
+        if shift < (abs(v1) + w1).bit_length() + d.bit_length():
+            v, w, s, d = (v << shift) * d1 + v1 * d, (w << shift) * d1 + w1 * d, s1, d * d1
+        elif abs(v1) > w1:  # 0 < |term| < 2^(s - bit_length(d)) < 2^s / d, of known sign: half a unit that way
+            return 2 * v + (1 if v1 > 0 else -1), 2 * w + 1, 2 * d, s
+        else:
+            return v, w + 1, d, s
+    return v, w + (w > 0), d, s  # one more unit makes a bound of w strict
+
+
+def _nearest(num: int, den: int, s: int, toward: int = 0) -> float:
+    """The double nearest num 2^s / den, den > 0, ties to even, subnormals included, by one true division of ints;
+    +-inf from 2^1024 - 2^970 up.  A value sure to be below 2^-1076, or above 2^1025, is decided by its size.  With
+    toward = 1 (-1), the double nearest every value just above (below) it, the open end of an interval: the value
+    moves by 2^(s - j) / den, below its distance to any rounding boundary, m 2^t with t >= -1075, but its own."""
+    top = num.bit_length() - den.bit_length() + s  # 2^(top - 1) <= |num 2^s / den| < 2^(top + 1)
+    if top < -1076:
+        return 0.0
+    if top <= 1025:
+        if toward:
+            j = max(1, s + 1076)
+            num, s = (num << j) + toward, s - j
+        try:
+            return (num << s) / den if s >= 0 else num / (den << -s)
+        except OverflowError:
+            pass
+    return math.inf if num > 0 else -math.inf
 
 
 def _exact_value(rate: GaussianRational, at) -> Optional[Fraction]:
@@ -243,15 +345,14 @@ def _closed_form_float(cf: ClosedForm, points, what: str) -> float:
     """The double nearest F(x) for points [x], or F(b) - F(a) for [b, a].
 
     Polynomial values are exact integer numerators over one denominator (``_eval_numerators``), one per point;
-    the rest runs on raw ``mpmath.libmp`` values, each conversion and step rounded at most once, to nearest at
-    precision p, within err = noise * 2^(_SLACK_BITS - p) of total.  Rounding is monotone, so once
-    total - err and total + err round to the same double, it is the nearest
-    (Ziv's test); otherwise p doubles.  A rational value (0, or a midpoint) may
-    never settle, so the first unsettled pass looks for one; it is 0 unless a point is 0.
-    A nonzero value far below the smallest double settles only near 2,000 bits, so every
-    definite integral ([b, a]) first meets the exact size bound of ``_rounds_to_zero``, and
-    one that it decides rounds to 0 is 0.0 before any polynomial value is computed.  A value that ``_overflows``
-    decides from the polynomial values alone is refused before any exponential is built.
+    the rest is the integer kernel of ``_enclosure``, which brackets the value between (N - E) 2^s / D and
+    (N + E) 2^s / D at a working precision of p bits, and ``_nearest`` rounds each end once, as the values
+    just inside it.  Rounding is monotone, so once the two ends round to the same double, it is the nearest
+    (Ziv's test); otherwise p doubles.  A rational value (0, or a midpoint) may never settle, so the first
+    unsettled pass looks for one; it is 0 unless a point is 0.  A nonzero value far below the smallest double
+    settles only near 2,000 bits, so every definite integral ([b, a]) first meets the exact size bound of
+    ``_rounds_to_zero``, and one that it decides rounds to 0 is 0.0 before any polynomial value is computed.  A
+    value that ``_overflows`` decides from the polynomial values alone is refused before any exponential is built.
     """
     if len(points) == 2 and _rounds_to_zero(cf, *points):
         return 0.0
@@ -260,15 +361,8 @@ def _closed_form_float(cf: ClosedForm, points, what: str) -> float:
         raise OverflowError(f"{what} overflows double precision")
     prec = _START_PREC
     while True:
-        a, b = (r and from_rational(r.numerator, r.denominator, prec, _NEAREST) for r in (cf.rate.re, cf.rate.im))
-        (total, noise), *rest = [_value_mp(a, b, p, q, c, prec) for p, q, c in at]
-        for value, size in rest:  # F(b) - F(a)
-            total, noise = mpf_sub(total, value, prec, _NEAREST), mpf_add(noise, size, prec, _NEAREST)
-        err = mpf_shift(noise, _SLACK_BITS - prec)
-        bounds = mpf_sub(total, err, prec, _NEAREST), mpf_add(total, err, prec, _NEAREST)
-        lo, hi = (to_float(v, rnd=_NEAREST) for v in bounds)
-        if lo == hi and abs(hi) <= sys.float_info.min:  # to_float rounds twice there; round to 2^-1074 once
-            lo, hi = (math.ldexp(int(to_int(mpf_nint(mpf_shift(v, 1074)))), -1074) for v in bounds)
+        num, err, den, s = _enclosure(cf.rate, at, prec)
+        lo, hi = _nearest(num - err, den, s, err and 1), _nearest(num + err, den, s, err and -1)
         if lo == hi:
             break
         if prec == _START_PREC and (lo <= 0 <= hi or 0 in points):

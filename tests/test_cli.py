@@ -573,7 +573,7 @@ class TestLargeRateOverflow:
     ])
     def test_refused_at_once(self, capsys, n, m, a, b):
         start = time.perf_counter()
-        with mock.patch.object(integrals, "mpf_exp", side_effect=AssertionError("an exponential was built")):
+        with mock.patch.object(integrals, "_enclosure", side_effect=AssertionError("an exponential was built")):
             result = run_cli(capsys, "integrate", "--kind", "exp", "--n", str(n), "--m", m, "--a", a, "--b", b)
         assert result == self.OVERFLOWS
         assert time.perf_counter() - start < 0.2
@@ -812,6 +812,46 @@ class TestConsoleEntry:
         assert proc.stderr == (
             "[('import', 0, False), ('poly', 0, False), ('genfunc', 0, False), ('verify', 0, False)]\n")
 
+    # One request per verb, and a definite integral with and without the quadrature oracle.
+    RUNTIME_REQUESTS = (
+        ["poly", "e", "--n", "5"], ["genfunc", "--family", "c", "--order", "2"],
+        ["verify", "--suite", "all", "--max-n", "8"],
+        ["integrate", "--kind", "sin", "--n", "9", "--a", "-3.25", "--b", "4.5"],
+        ["integrate", "--kind", "sin", "--n", "9", "--a", "-3.25", "--b", "4.5", "--check"],
+    )
+
+    def test_requests_do_not_import_mpmath(self):
+        # Definite integrals run on an integer kernel, so neither the import nor a request loads mpmath.
+        script = (
+            "import sys, scepoly\n"
+            "from scepoly.cli import main\n"
+            "seen = [('import', 0, 'mpmath' in sys.modules)]\n"
+            f"for argv in {self.RUNTIME_REQUESTS!r}:\n"
+            "    seen.append((argv[0], main(argv), 'mpmath' in sys.modules))\n"
+            "print(seen, file=sys.stderr)\n"
+        )
+        proc = run_python("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == (
+            "[('import', 0, False), ('poly', 0, False), ('genfunc', 0, False), ('verify', 0, False), "
+            "('integrate', 0, False), ('integrate', 0, False)]\n")
+
+    def test_integrals_run_with_mpmath_unimportable(self):
+        # A None entry in sys.modules makes every import of mpmath raise ImportError.
+        script = (
+            "import sys\n"
+            "sys.modules['mpmath'] = None\n"
+            "from scepoly.cli import main\n"
+            f"for argv in {self.RUNTIME_REQUESTS[3:]!r}:\n"
+            "    print('exit', main(argv))\n"
+        )
+        proc = run_python("-c", script)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[:3] == ["-258832.94213651307", "exit 0", "integral   -258832.94213651307"]
+        assert lines[3].startswith("quadrature -258832.942136513")
+        assert lines[4].endswith(": PASS") and lines[5:] == ["exit 0"]
+
     def test_wide_check_exhausts_the_panel_cap_quickly(self):
         # Every panel of [0, 1e16] has a large error, so only the panel cap
         # ends the oracle; the request must fail fast, not run on.
@@ -909,6 +949,65 @@ class TestFuzzedArgv:
         code, _, err = run_quiet(argv)
         assert code in (0, 1, 2), (argv, code, err)
         assert "Traceback" not in err
+
+
+# The argv grammar at its edges: indices around the default SCE_MAX_N cap of 64, rates at the int-string limit of
+# 4,300 digits and past a double's range, Gaussian and malformed rates, and bounds at a double's extremes.
+EDGE_INDEXES = st.sampled_from(["0", "1", "2", "12", "62", "63", "64", "65", "-1", "1e1"])
+EDGE_RATES = st.sampled_from([
+    "1", "2", "-5/3", "1/3", "1/134217727", "1e66", "1e400", "-1e400", "1e-400", "1e4299", "1e-4299", "12345e4299",
+    "1e4300", "9" * 4300, "9" * 4301, "1+i", "i", "2i", "1/0", "0", "abc", "1e", "nan", "inf",
+])
+EDGE_BOUNDS = st.sampled_from([
+    "1e308", "-1e308", "1.7976931348623157e308", "-1.7976931348623157e308", "5e-324", "-5e-324",
+    "2.2250738585072014e-308", "1e-300", "0", "-0.0", "nan", "inf", "-inf", "1e309", "1/3",
+]) | st.floats(-20, 20).map(repr)
+
+
+@st.composite
+def edge_argvs(draw):
+    """A verb with its required flags drawn from the edges above, and each optional flag half the time."""
+    verb = draw(st.sampled_from(sorted(VERBS)))
+    if verb == "poly":
+        argv = ["poly", draw(st.sampled_from(["e", "s", "c", "shat", "chat", "em"])), "--n", draw(EDGE_INDEXES)]
+        optional = {"--m": EDGE_RATES, "--format": FORMATS}
+    elif verb == "integrate":
+        argv = ["integrate", "--kind", draw(st.sampled_from(["sin", "cos", "exp"])), "--n", draw(EDGE_INDEXES)]
+        optional = {"--m": EDGE_RATES, "--a": EDGE_BOUNDS, "--b": EDGE_BOUNDS, "--check": None}
+    elif verb == "verify":
+        argv = ["verify", "--suite", draw(st.sampled_from(["all", "routes", "theorem2", "bogus"])),
+                "--max-n", draw(EDGE_INDEXES)]
+        optional = {}
+    else:
+        argv = ["genfunc", "--family", draw(st.sampled_from(["e", "s", "c", "em"])), "--order", draw(EDGE_INDEXES)]
+        optional = {"--m": EDGE_RATES, "--format": FORMATS}
+    for flag, values in optional.items():
+        if draw(st.booleans()):
+            argv += [flag] if values is None else [flag, draw(values)]
+    return argv
+
+
+class TestEdgeArgv:
+    """Every argv at the grammar's edges gets an exit code promptly, at the default index cap."""
+
+    @given(argv=edge_argvs())
+    @settings(deadline=None, max_examples=120)
+    @example(argv=["integrate", "--kind", "cos", "--n", "0", "--a", "-1e308", "--b", "1e308"])
+    @example(argv=["integrate", "--kind", "exp", "--n", "64", "--m", "1/3", "--a", "-1e308", "--b", "5e-324"])
+    @example(argv=["integrate", "--kind", "exp", "--n", "0", "--m", "1e4299", "--a", "-1", "--b", "-0.0"])
+    @example(argv=["integrate", "--kind", "sin", "--n", "64", "--a", "5e-324", "--b", "1e-300"])
+    @example(argv=["integrate", "--kind", "exp", "--n", "1", "--m", "1/134217727", "--a", "-1e15", "--b", "0"])
+    def test_exit_code_and_time(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        env = {key: value for key, value in os.environ.items() if key != "SCE_MAX_N"}
+        start = time.perf_counter()
+        with mock.patch.dict(os.environ, env, clear=True):
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(argv)
+        elapsed = time.perf_counter() - start
+        assert code in (0, 1, 2), (argv, code, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        assert elapsed < 5.0, (argv, elapsed)
 
 
 class TestParserReuse:
