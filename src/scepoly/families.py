@@ -284,7 +284,7 @@ def _group_g4(n, s, c, sh, ch, e):
 def _group_diff_eqs(n, s, c, sh, ch, e):
     yield f"s_{n}'' + s_{n} = -x^{n}", s[n].derivative().derivative() + s[n] == -_xn(n)
     yield f"c_{n}'' + c_{n} = x^{n}", c[n].derivative().derivative() + c[n] == _xn(n)
-    yield f"e_{n}' + e_{n} = x^{n}", e[n].derivative() + e[n] == _xn(n)
+    yield f"e_{n}' + e_{n} = x^{n}", e[n].derivative(1) == _xn(n)
     yield f"c_{n} = x^{n} + {n}*s_{n-1}'", c[n] == _xn(n) + n * s[n - 1].derivative()
     yield f"c_{n}' = -{n}*s_{n-1}", c[n].derivative() == -n * s[n - 1]
 

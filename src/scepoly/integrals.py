@@ -137,22 +137,23 @@ def s_rodrigues(n: int) -> Poly:
 def antiderivative_recurrence_report(n_max: int) -> CheckReport:
     """Integration-by-parts recurrences at the antiderivative level.
 
-    Checks, in exact exponential-polynomial form F = Re(lift) (see ``check_antiderivative``),
-    that each difference below is a constant, i.e. that its derivative vanishes:
+    Checks that each difference below is a constant, i.e. that its derivative vanishes:
 
         S_n - [-x^n cos x + n C_{n-1}]
         C_n - [ x^n sin x - n S_{n-1}]
         S_n - [-x^n cos x + n x^(n-1) sin x - n(n-1) S_{n-2}]
         C_n - [ x^n sin x + n x^(n-1) cos x - n(n-1) C_{n-2}]
 
-    Each S_k, C_k, x^k sin x and x^k cos x is lifted once; S_k = C_k = 0 for k < 0.
+    Every term is Re(part(x) e^(ix)): S_k and C_k are their closed forms' parts, x^k sin x is -i x^k and x^k cos
+    x is x^k; S_k = C_k = 0 for k < 0.  So each difference is Re(h e^(ix)) for one polynomial h, built once, and
+    it is constant iff h' + i*h = 0 (``Poly.derivative(I)``), by ``check_antiderivative``'s non-real-rate argument.
     """
     ks = range(n_max + 1)
-    S = {k: lift_closed_form(closed_form("sin", k)) for k in ks}
-    C = {k: lift_closed_form(closed_form("cos", k)) for k in ks}
-    xs = [lift_integrand("sin", k) for k in ks]
-    xc = [lift_integrand("cos", k) for k in ks]
-    zero = ExpPoly()
+    S = {k: closed_form("sin", k).part for k in ks}
+    C = {k: closed_form("cos", k).part for k in ks}
+    xs = [-Poly.monomial(k, I) for k in ks]
+    xc = [Poly.monomial(k) for k in ks]
+    zero = Poly.zero()
     diffs = []
     for n in ks:
         s1, c1, s2, c2 = S.get(n - 1, zero), C.get(n - 1, zero), S.get(n - 2, zero), C.get(n - 2, zero)
@@ -162,7 +163,7 @@ def antiderivative_recurrence_report(n_max: int) -> CheckReport:
             nn = n * (n - 1)
             diffs.append((f"S_{n} two-step reduction to S_{n-2}", S[n] - (-xc[n] + n * xs[n - 1] - nn * s2)))
             diffs.append((f"C_{n} two-step reduction to C_{n-2}", C[n] - (xs[n] + n * xc[n - 1] - nn * c2)))
-    return CheckReport.of([(label, diff.derivative().is_zero()) for label, diff in diffs])
+    return CheckReport.of([(label, diff.derivative(I).is_zero()) for label, diff in diffs])
 
 
 # ---------------------------------------------------------------------------

@@ -182,15 +182,21 @@ class Poly(_Numerators):
     def scale_arg(self, c) -> "Poly":
         """Return q with q(x) = p(c*x): for c = (a + b*i)/q, x^k gets (a + b*i)^k q^(d-k) over den*q^d."""
         a, b, q = _int_parts(c)
-        zr, zi = 1, 0
-        for _ in range(self.lo):
-            zr, zi = zr * a - zi * b, zr * b + zi * a
         scale, re, im = q ** max(len(self.re) - 1, 0), [], []
-        for r, i in zip(self.re, _im(self)):
-            r, i = r * scale, i * scale
-            re.append(r * zr - i * zi)
-            im.append(r * zi + i * zr)
-            zr, zi, scale = zr * a - zi * b, zr * b + zi * a, scale // q
+        if not (b or self.im):  # a real rate and real numerators: the same sum with no imaginary accumulator
+            z = a**self.lo
+            for r in self.re:
+                re.append(r * z * scale)
+                z, scale = z * a, scale // q
+        else:
+            zr, zi = 1, 0
+            for _ in range(self.lo):
+                zr, zi = zr * a - zi * b, zr * b + zi * a
+            for r, i in zip(self.re, _im(self)):
+                r, i = r * scale, i * scale
+                re.append(r * zr - i * zi)
+                im.append(r * zi + i * zr)
+                zr, zi, scale = zr * a - zi * b, zr * b + zi * a, scale // q
         return _make(Poly, self.lo, re, im, self.den * q ** max(self.degree, 0))
 
     # -- comparison / display ----------------------------------------------

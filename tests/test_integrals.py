@@ -171,6 +171,32 @@ class TestIntegralLevelRecurrences:
         assert any("two-step" in label for label in labels)
         assert any("C_2 = x^2 sin x" in label for label in labels)
 
+    def test_a_wrong_closed_form_fails_exactly_its_recurrences(self, monkeypatch):
+        # The report's 82 entries at n_max 20, in order; S_3's part gains x^4, which fails the four entries
+        # that read S_3 and no other.
+        labels = []
+        for n in range(21):
+            labels += [f"S_{n} = -x^{n} cos x + {n} C_{n-1}", f"C_{n} = x^{n} sin x - {n} S_{n-1}"]
+            if n >= 1:
+                labels += [f"S_{n} two-step reduction to S_{n-2}", f"C_{n} two-step reduction to C_{n-2}"]
+        assert [e.label for e in antiderivative_recurrence_report(20).entries] == labels
+        assert len(labels) == 82
+        correct = integrals.closed_form
+
+        def mutant(kind, n, m=None):
+            cf = correct(kind, n, m)
+            return ClosedForm(kind, n, cf.rate, cf.part + X**4) if (kind, n) == ("sin", 3) else cf
+
+        monkeypatch.setattr(integrals, "closed_form", mutant)
+        report = antiderivative_recurrence_report(20)
+        assert [e.label for e in report.entries] == labels
+        assert [e.label for e in report.failures] == [
+            "S_3 = -x^3 cos x + 3 C_2",
+            "S_3 two-step reduction to S_1",
+            "C_4 = x^4 sin x - 4 S_3",
+            "S_5 two-step reduction to S_3",
+        ]
+
 
 class TestFloatEvaluation:
     def test_sin_one_at_pi(self):

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from scepoly.genfunc import E_SPEC, FormalSeries, em_spec, rho_linear, series_E, series_Em
@@ -489,6 +489,22 @@ class TestPolyAgainstModel:
         for _ in range(n):
             power = _model_mul(power, mp)
         assert _model_agrees(p**n, power)
+
+    @given(a=real_polys.filter(any), b=complex_polys, pad=st.integers(1, 3),
+           c=st.one_of(st.integers(-6, 6), small_rationals))
+    @example(a=[GaussianRational(2), GaussianRational(-1)], b=[I], pad=2, c=0)
+    @example(a=[GaussianRational(Fraction(1, 3)), 0, GaussianRational(5)], b=[1, I], pad=1, c=Fraction(-3, 2))
+    def test_real_scale_arg(self, a, b, pad, c):
+        # Real numerators and a real rate take scale_arg's real path, here from lo > 0 and at rates of either
+        # sign, non-integer and 0; its result has no imaginary numerators.  Complex numerators at the same
+        # rate keep the Gaussian path.
+        mc = (Fraction(c), Fraction(0))
+        for coeffs in ([0] * pad + a, [0] * pad + b):
+            p, mp = Poly(coeffs), _model(coeffs)
+            assert p.lo >= pad
+            scaled = {k: _model_mul({0: v}, {0: _model_pow(mc, k)}).get(0, (0, 0)) for k, v in mp.items()}
+            assert _model_agrees(p.scale_arg(c), _model_clean(scaled))
+        assert Poly([0] * pad + a).scale_arg(c).im == ()
 
     @given(a=any_polys, k=st.integers(1, 30), pad=st.integers(0, 3))
     def test_canonical_form(self, a, k, pad):

@@ -166,9 +166,10 @@ def test_residual_catches_a_wrong_family(monkeypatch, suite, family, ode_label):
 
 
 # The kill matrix: each mutant perturbs one family constructor, route or series from n = 3 on (x^4 at t^3 for
-# a series), the Rodrigues sweep's kernel, or the shifted weight's exponent K (one too large), and some suite
-# must fail for it.  A mutant rebinds every scepoly module attribute that is its target, since integrals binds
-# families names at import; a target qualified by its module rebinds that module's name alone.
+# a series), the Rodrigues sweep's kernel, the derivative kernel (its rate dropped), the hypergeometric
+# residual (n*y added from n = 3 on) or the shifted weight's exponent K (one too large), and some suite must
+# fail for it.  A mutant rebinds every scepoly module attribute that is its target, since integrals binds
+# families names at import; a target qualified by its module (and class) rebinds that one attribute alone.
 CONSTRUCTORS = ("e_explicit", "s_explicit", "c_from_s", "shat", "chat", "em_explicit", "laguerre_general")
 MUTANTS = {
     **{name: ("constructor", name) for name in (*CONSTRUCTORS, "antideriv_poly_exp", "c_from_e")},
@@ -176,6 +177,9 @@ MUTANTS = {
     **{name: ("series", name) for name in ("series_exp_xt", "degenerate_genfunc", "_over_one_plus_t_power")},
     # The sweep's kernel reading its numerators from an offset one off; Poly.derivative keeps poly's binding.
     **{f"rodrigues_kernel(lo{shift:+d})": (shift, "families._derivative") for shift in (1, -1)},
+    # p' in place of p' + r*p wherever Poly.derivative(r) is called; the Rodrigues sweep keeps families' binding.
+    "derivative_kernel(rate 0)": ("no rate", "poly._derivative"),
+    "residual(+n*y)": ("residual", "genfunc.LinearHGSpec.residual"),
     "sigma_linear": ("exponent", "sigma_linear"),
 }
 # The suites that must be among the killers of a row.  theorem2 compares ``degenerate_genfunc``'s t-recurrence,
@@ -186,6 +190,8 @@ KILLERS = {
     **{name: {"theorem2"} for name in ("degenerate_genfunc", "sigma_linear")},
     "_over_one_plus_t_power": {"genfunc", "theorem2"},
     **{row: {"routes"} for row in MUTANTS if row.startswith("rodrigues_kernel")},
+    "derivative_kernel(rate 0)": {"odes", "theorem1"},
+    "residual(+n*y)": {"odes", "laguerre"},
 }
 
 
@@ -202,6 +208,13 @@ def _mutant(kind, correct):
         def mutant(*args):
             coeffs = correct(*args).coeffs
             return FormalSeries(c + Poly.monomial(4) if k == 3 else c for k, c in enumerate(coeffs))
+    elif kind == "no rate":
+        def mutant(p, lo, a, b, q):
+            return correct(p, lo, 0, 0, q)
+    elif kind == "residual":
+        def mutant(spec, y, n):
+            r = correct(spec, y, n)
+            return r + n * y if n >= 3 else r
     elif kind == "exponent":
         def mutant(spec, n):
             w = correct(spec, n)
@@ -215,16 +228,19 @@ def _mutant(kind, correct):
 @pytest.mark.parametrize("row", MUTANTS)
 def test_kill_matrix(monkeypatch, row):
     kind, target = MUTANTS[row]
-    module_name, _, name = target.rpartition(".")
-    if module_name:
-        modules = [sys.modules[f"scepoly.{module_name}"]]
+    *owner_path, name = target.split(".")
+    if owner_path:
+        owner = sys.modules[f"scepoly.{owner_path[0]}"]
+        for attr in owner_path[1:]:
+            owner = getattr(owner, attr)
+        owners = [owner]
     else:
-        modules = [module for key, module in sys.modules.items() if key == "scepoly" or key.startswith("scepoly.")]
-    correct = next(getattr(module, name) for module in modules if hasattr(module, name))
+        owners = [module for key, module in sys.modules.items() if key == "scepoly" or key.startswith("scepoly.")]
+    correct = next(getattr(owner, name) for owner in owners if hasattr(owner, name))
     mutant = _mutant(kind, correct)
-    for module in modules:
-        if getattr(module, name, None) is correct:
-            monkeypatch.setattr(module, name, mutant)
+    for owner in owners:
+        if getattr(owner, name, None) is correct:
+            monkeypatch.setattr(owner, name, mutant)
     killed = {suite for suite in VERIFY_SUITES if not run_suite(suite, 8).all_passed}
     assert len(killed) >= (2 if row in CONSTRUCTORS else 1), killed
     if row in KILLERS:
