@@ -281,7 +281,8 @@ def _enclosure(rate: GaussianRational, at, prec: int) -> tuple[int, int, int, in
 
 def _nearest(num: int, den: int, s: int, toward: int = 0) -> float:
     """The double nearest num 2^s / den, den > 0, ties to even, subnormals included, by one true division of ints;
-    +-inf from 2^1024 - 2^970 up.  A value sure to be below 2^-1076, or above 2^1025, is decided by its size.  With
+    +-inf from 2^1024 - 2^970 up.  A value sure to be below 2^-1076, or above 2^1025, is decided by its bit size
+    alone, never built: the one rule for the integrals too small or too large for a double.  With
     toward = 1 (-1), the double nearest every value just above (below) it, the open end of an interval: the value
     moves by 2^(s - j) / den, below its distance to any rounding boundary, m 2^t with t >= -1075, but its own."""
     top = num.bit_length() - den.bit_length() + s  # 2^(top - 1) <= |num 2^s / den| < 2^(top + 1)
@@ -309,39 +310,6 @@ def _exact_value(rate: GaussianRational, at) -> Optional[Fraction]:
     return None if any(c for e, c in merged.items() if e != 0) else merged[0].re / 2
 
 
-def _rounds_to_zero(cf: ClosedForm, b: float, a: float) -> bool:
-    """True if |F(b) - F(a)| <= |b - a| * max(|a|, |b|)^n * G <= 2^-1075, where G = 3^ceil(max(0, g*a, g*b))
-    bounds |e^(rate x)| = e^(gx) on [a, b] for g = Re(rate), as e < 3 (G = 1 for sin and cos).
-    With b - a = (B - A)/q, q the lcm of the endpoint denominators, and max(|a|, |b|) = p/r, the test is
-    |B - A| * p^n * G * 2^1075 <= den in integers, where the shift den is a power-of-two lower bound on
-    q * r^n: sound for any rational endpoints, and exact for doubles, whose denominators are powers of 2."""
-    (pa, qa), (pb, qb) = a.as_integer_ratio(), b.as_integer_ratio()
-    (p, r), q = max(abs(a), abs(b)).as_integer_ratio(), math.lcm(qa, qb)
-    A, B = pa * (q // qa), pb * (q // qb)
-    num, den = abs(B - A) * p**cf.n << 1075, 1 << (q.bit_length() - 1 + (r.bit_length() - 1) * cf.n)
-    if not num or num > den:
-        return num <= den
-    g, gq = cf.rate.re, cf.rate.re.denominator * q
-    k = max(0, -(-g.numerator * A // gq), -(-g.numerator * B // gq))  # ceil(g*x) at both points
-    if k >= den.bit_length():  # num * 3^k >= 3^k > 2^k > den; 3^k may be vast
-        return False
-    return num * 3**k <= den
-
-
-def _overflows(rate: GaussianRational, at) -> bool:
-    """True if |F(x)|, or |F(b) - F(a)|, surely exceeds 2^1025 for a real rate g; as e > 2, it does if
-    A 2^floor(g x1) > 2^1026 and 2^floor(g (x1 - x0)) >= 2B/A, x1 maximising gx, A = |Re P(x1)|, B = |Re P(x0)|."""
-    g = rate.re
-    if rate.im or not g:
-        return False
-    (p1, q1, (a, _, da)), *rest = sorted(at, key=lambda t: t[0] / t[1], reverse=g > 0)
-    bits = a.bit_length() - 1 - da.bit_length()  # A > 2^bits
-    if not a or g.numerator * p1 < g.denominator * q1 * max(0, 1026 - bits):  # g*x1 < max(0, 1026 - bits)
-        return False
-    return all(not b or g.numerator * (p1 * q0 - p0 * q1) // (g.denominator * q1 * q0) + bits
-               >= b.bit_length() - db.bit_length() + 2 for p0, q0, (b, _, db) in rest)  # 2B < 2^that
-
-
 def _closed_form_float(cf: ClosedForm, points, what: str) -> float:
     """The double nearest F(x) for points [x], or F(b) - F(a) for [b, a].
 
@@ -350,16 +318,11 @@ def _closed_form_float(cf: ClosedForm, points, what: str) -> float:
     (N + E) 2^s / D at a working precision of p bits, and ``_nearest`` rounds each end once, as the values
     just inside it.  Rounding is monotone, so once the two ends round to the same double, it is the nearest
     (Ziv's test); otherwise p doubles.  A rational value (0, or a midpoint) may never settle, so the first
-    unsettled pass looks for one; it is 0 unless a point is 0.  A nonzero value far below the smallest double
-    settles only near 2,000 bits, so every definite integral ([b, a]) first meets the exact size bound of
-    ``_rounds_to_zero``, and one that it decides rounds to 0 is 0.0 before any polynomial value is computed.  A
-    value that ``_overflows`` decides from the polynomial values alone is refused before any exponential is built.
+    unsettled pass looks for one, as for an empty or a symmetric interval; it is 0 unless a point is 0.  Values
+    far out of the double range need no screen: e^(gx) is the shift 2^k, so ``_nearest`` decides a huge one by
+    its size, unbuilt, and a tiny one once the bracket is below 2^-1076 (2,176 bits for x^64 sin x near 1e-300).
     """
-    if len(points) == 2 and _rounds_to_zero(cf, *points):
-        return 0.0
     at = [(p, q, _eval_numerators(cf.part, p, 0, q)) for p, q in (x.as_integer_ratio() for x in points)]
-    if _overflows(cf.rate, at):
-        raise OverflowError(f"{what} overflows double precision")
     prec = _START_PREC
     while True:
         num, err, den, s = _enclosure(cf.rate, at, prec)

@@ -167,9 +167,11 @@ def test_residual_catches_a_wrong_family(monkeypatch, suite, family, ode_label):
 
 # The kill matrix: each mutant perturbs one family constructor, route or series from n = 3 on (x^4 at t^3 for
 # a series), the Rodrigues sweep's kernel, the derivative kernel (its rate dropped), the hypergeometric
-# residual (n*y added from n = 3 on) or the shifted weight's exponent K (one too large), and some suite must
-# fail for it.  A mutant rebinds every scepoly module attribute that is its target, since integrals binds
-# families names at import; a target qualified by its module (and class) rebinds that one attribute alone.
+# residual (n*y added from n = 3 on), the shifted weight's exponent K (one too large) or one field of an
+# equation's spec (gamma + 1 for the rate-m family, delta0 + 1 for Laguerre's), and some suite must fail for it.
+# A mutant rebinds every scepoly module attribute that is its target, since integrals binds families names at
+# import; a target qualified by its module (and class) rebinds that one attribute alone.  E_SPEC, built at
+# import, keeps the correct spec.
 CONSTRUCTORS = ("e_explicit", "s_explicit", "c_from_s", "shat", "chat", "em_explicit", "laguerre_general")
 MUTANTS = {
     **{name: ("constructor", name) for name in (*CONSTRUCTORS, "antideriv_poly_exp", "c_from_e")},
@@ -181,6 +183,7 @@ MUTANTS = {
     "derivative_kernel(rate 0)": ("no rate", "poly._derivative"),
     "residual(+n*y)": ("residual", "genfunc.LinearHGSpec.residual"),
     "sigma_linear": ("exponent", "sigma_linear"),
+    **{name: ("spec", name) for name in ("em_spec", "laguerre_spec")},
 }
 # The suites that must be among the killers of a row.  theorem2 compares ``degenerate_genfunc``'s t-recurrence,
 # which reads K from ``sigma_linear``, with the division of ``series_E`` and ``series_Em``, so a wrong K or a
@@ -192,7 +195,11 @@ KILLERS = {
     **{row: {"routes"} for row in MUTANTS if row.startswith("rodrigues_kernel")},
     "derivative_kernel(rate 0)": {"odes", "theorem1"},
     "residual(+n*y)": {"odes", "laguerre"},
+    "em_spec": {"odes", "theorem2"},
+    "laguerre_spec": {"laguerre"},
 }
+# The field of each equation's spec that its mutant moves by one.
+SPEC_FIELDS = {"em_spec": "gamma", "laguerre_spec": "delta0"}
 
 
 def _mutant(kind, correct):
@@ -219,6 +226,12 @@ def _mutant(kind, correct):
         def mutant(spec, n):
             w = correct(spec, n)
             return genfunc.WeightForm(w.alpha, w.beta, w.exponent + 1, w.rate)
+    elif kind == "spec":
+        def mutant(parameter):
+            spec = correct(parameter)
+            fields = {name: getattr(spec, name) for name in spec.__slots__}
+            fields[SPEC_FIELDS[correct.__name__]] += 1
+            return genfunc.LinearHGSpec(**fields)
     else:  # a kernel reading its numerators from the offset lo + kind
         def mutant(p, lo, *rate):
             return correct(p, lo + kind, *rate)
